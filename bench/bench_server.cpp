@@ -23,6 +23,11 @@
 // provably met the bound and breaching work is answered with typed
 // kDeadlineExceeded. Both phases warm up untimed first.
 //
+// Every worker answers profile requests with the partitioned parallel
+// SPCS over its CPU share (session_threads in the JSON: threads per
+// worker session), so on a machine with >= 2x workers CPUs the identity
+// phase compares profiles served at p >= 2 against threads = 1 sessions.
+//
 // Emits BENCH_server.json (--json=FILE); CI gates on identity_match,
 // shed_rate > 0, and p999_ratio <= 5 (--smoke).
 #include <algorithm>
@@ -244,6 +249,7 @@ int run(int argc, char** argv) {
   LoadResult base;
   double base_server_p999 = 0.0;
   AdmissionPlan plan;
+  unsigned session_threads = 0;
   {
     ServerOptions opt;
     opt.host = kHost;
@@ -251,6 +257,7 @@ int run(int argc, char** argv) {
     QueryServer server(live, opt);
     server.start();
     plan = server.admission();
+    session_threads = server.session_options().threads;
     identity = check_identity(live, server.port(), net.tt,
                               std::max(8, num_queries()));
     (void)run_client(server.port(), net.tt, warmup, 1, 0, 98);  // warm
@@ -334,7 +341,9 @@ int run(int argc, char** argv) {
   const double p999_ratio =
       base_server_p999 > 0 ? over_server_p999 / base_server_p999 : 0.0;
 
-  std::cout << "\nidentity_match: " << (identity ? "yes" : "NO") << "\n"
+  std::cout << "\nidentity_match: " << (identity ? "yes" : "NO") << " ("
+            << workers << " workers x " << session_threads
+            << " SPCS threads)\n"
             << "uncontended: " << static_cast<std::uint64_t>(base_qps)
             << " qps, p50 " << fixed(base_p50, 1) << " us, p99 "
             << fixed(base_p99, 1) << " us, p999 " << fixed(base_p999, 1)
@@ -357,6 +366,7 @@ int run(int argc, char** argv) {
     JsonWriter w = bench_json_doc("server", "closed-loop-ea");
     w.field("stations", net.tt.num_stations())
         .field("workers", workers)
+        .field("session_threads", session_threads)
         .field("identity_match", identity)
         .field("queue_capacity_plan", plan.queue_capacity)
         .field("max_connections_plan", plan.max_connections)

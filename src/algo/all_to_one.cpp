@@ -6,11 +6,12 @@ namespace pconn {
 
 template <typename Queue>
 AllToOneProfilesT<Queue>::AllToOneProfilesT(const Timetable& tt,
-                                            ParallelSpcsOptions opt)
+                                            ParallelSpcsOptions opt,
+                                            SpcsPool* pool)
     : period_(tt.period()),
       reverse_tt_(make_reverse_timetable(tt)),
       reverse_graph_(TdGraph::build(reverse_tt_)),
-      spcs_(reverse_tt_, reverse_graph_, opt) {}
+      spcs_(reverse_tt_, reverse_graph_, opt, pool) {}
 
 template <typename Queue>
 void AllToOneProfilesT<Queue>::all_to_one_into(StationId target,

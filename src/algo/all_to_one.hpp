@@ -21,7 +21,9 @@ template <typename Queue = SpcsBinaryQueue>
 class AllToOneProfilesT {
  public:
   /// Builds the reversed timetable and graph once; queries reuse them.
-  AllToOneProfilesT(const Timetable& tt, ParallelSpcsOptions opt);
+  /// `pool` is lent to the reverse driver; null = a private pool.
+  AllToOneProfilesT(const Timetable& tt, ParallelSpcsOptions opt,
+                    SpcsPool* pool = nullptr);
 
   /// Profiles dist(S, target, ·) for every station S, reduced and on the
   /// forward clock (departure at S in [0, period), absolute arrival at T).
@@ -31,11 +33,6 @@ class AllToOneProfilesT {
   void all_to_one_into(StationId target, OneToAllResult& out);
 
   const Timetable& reverse_timetable() const { return reverse_tt_; }
-
-  /// Arena footprint of the inner reverse driver's per-thread workspaces.
-  std::size_t scratch_bytes_reserved() const {
-    return spcs_.scratch_bytes_reserved();
-  }
 
  private:
   Time period_;

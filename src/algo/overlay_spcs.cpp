@@ -8,45 +8,18 @@
 
 namespace pconn {
 
-namespace {
-
-std::vector<std::unique_ptr<QueryWorkspace>> make_workspaces(unsigned n) {
-  std::vector<std::unique_ptr<QueryWorkspace>> ws;
-  ws.reserve(n);
-  for (unsigned i = 0; i < n; ++i) {
-    ws.push_back(std::make_unique<QueryWorkspace>());
-  }
-  return ws;
-}
-
-template <typename Queue>
-std::vector<SpcsThreadStateT<Queue>> make_states(
-    std::vector<std::unique_ptr<QueryWorkspace>>& ws, ThreadPool& pool) {
-  // Same NUMA routing as the flat driver: pin each workspace's arena to its
-  // pool thread's node before any state grows scratch into it.
-  pool.run([&](std::size_t t) {
-    ws[t]->arena().set_numa_node(Arena::current_numa_node());
-  });
-  std::vector<SpcsThreadStateT<Queue>> states;
-  states.reserve(ws.size());
-  for (auto& w : ws) states.emplace_back(w.get());
-  return states;
-}
-
-}  // namespace
-
 template <typename Queue>
 OverlayParallelSpcsT<Queue>::OverlayParallelSpcsT(const Timetable& tt,
                                                   const TdGraph& g,
                                                   const OverlayGraph& ov,
-                                                  ParallelSpcsOptions opt)
+                                                  ParallelSpcsOptions opt,
+                                                  SpcsPool* pool)
     : tt_(tt),
       g_(g),
       ov_(ov),
       opt_(opt),
-      pool_(opt.threads),
-      workspaces_(make_workspaces(opt.threads)),
-      states_(make_states<Queue>(workspaces_, pool_)),
+      owned_pool_(pool ? nullptr : std::make_unique<SpcsPool>(opt.threads)),
+      pool_(pool ? *pool : *owned_pool_),
       thread_ms_(opt.threads, 0.0) {
   // Same loud dataset-mismatch rejection as the other overlay engines
   // (overlay_query.cpp): a stale cached overlay bound to a regenerated
@@ -58,10 +31,15 @@ OverlayParallelSpcsT<Queue>::OverlayParallelSpcsT(const Timetable& tt,
     throw std::runtime_error(
         "overlay: graph mismatch (contracted from a different dataset?)");
   }
+  if (pool_.size() != opt.threads) {
+    throw std::invalid_argument("overlay spcs: pool size != threads");
+  }
+  states_.reserve(opt.threads);
   sweep_.reserve(opt.threads);
-  for (unsigned i = 0; i < opt.threads; ++i) {
+  for (unsigned t = 0; t < opt.threads; ++t) {
+    states_.emplace_back(&pool_.workspace(t));
     sweep_.push_back(
-        std::make_unique<SweepScratch>(scratch_alloc(workspaces_[i].get())));
+        std::make_unique<SweepScratch>(pool_.workspace(t).alloc()));
   }
 }
 
@@ -127,13 +105,6 @@ template <typename Queue>
 QueryStats OverlayParallelSpcsT<Queue>::accumulated_stats() const {
   QueryStats total{};
   for (const auto& st : states_) total += st.stats();
-  return total;
-}
-
-template <typename Queue>
-std::size_t OverlayParallelSpcsT<Queue>::scratch_bytes_reserved() const {
-  std::size_t total = 0;
-  for (const auto& w : workspaces_) total += w->bytes_reserved();
   return total;
 }
 

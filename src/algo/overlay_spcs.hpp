@@ -46,13 +46,12 @@
 #include "algo/parallel_spcs.hpp"
 #include "algo/partition.hpp"
 #include "algo/spcs.hpp"
-#include "algo/workspace.hpp"
+#include "algo/spcs_pool.hpp"
 #include "graph/overlay_graph.hpp"
 #include "graph/profile.hpp"
 #include "graph/td_graph.hpp"
 #include "timetable/timetable.hpp"
 #include "util/function_ref.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pconn {
 
@@ -65,9 +64,11 @@ class OverlayParallelSpcsT {
  public:
   /// Needs the flat graph alongside the overlay for the initial pushes
   /// (departure route nodes are a flat-graph notion). Throws on an
-  /// overlay contracted from a different dataset.
+  /// overlay contracted from a different dataset. `pool` as in
+  /// ParallelSpcsT: lent threads + workspaces, or a private pool if null.
   OverlayParallelSpcsT(const Timetable& tt, const TdGraph& g,
-                       const OverlayGraph& ov, ParallelSpcsOptions opt);
+                       const OverlayGraph& ov, ParallelSpcsOptions opt,
+                       SpcsPool* pool = nullptr);
   ~OverlayParallelSpcsT();
 
   /// One-to-all profile query from S over the core: partitioned ascent +
@@ -128,9 +129,6 @@ class OverlayParallelSpcsT {
   double sweep_ms() const { return sweep_ms_; }
   double merge_ms() const { return merge_ms_; }
 
-  /// Total arena footprint of the per-thread workspaces.
-  std::size_t scratch_bytes_reserved() const;
-
  private:
   /// Arena-backed per-thread sweep rows: raw entry times (kInfTime = dead
   /// lane), the kernel's clamped copy, its outputs, the running strict
@@ -155,8 +153,8 @@ class OverlayParallelSpcsT {
   const TdGraph& g_;
   const OverlayGraph& ov_;
   ParallelSpcsOptions opt_;
-  ThreadPool pool_;
-  std::vector<std::unique_ptr<QueryWorkspace>> workspaces_;
+  std::unique_ptr<SpcsPool> owned_pool_;  // null when a pool is lent
+  SpcsPool& pool_;
   std::vector<SpcsThreadStateT<Queue>> states_;
   std::vector<std::unique_ptr<SweepScratch>> sweep_;
   std::vector<std::uint32_t> boundaries_;

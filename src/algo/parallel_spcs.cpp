@@ -1,49 +1,28 @@
 #include "algo/parallel_spcs.hpp"
 
+#include <stdexcept>
+
 #include "util/timer.hpp"
 
 namespace pconn {
 
-namespace {
-
-std::vector<std::unique_ptr<QueryWorkspace>> make_workspaces(unsigned n) {
-  std::vector<std::unique_ptr<QueryWorkspace>> ws;
-  ws.reserve(n);
-  for (unsigned i = 0; i < n; ++i) {
-    ws.push_back(std::make_unique<QueryWorkspace>());
-  }
-  return ws;
-}
-
-template <typename Queue>
-std::vector<SpcsThreadStateT<Queue>> make_states(
-    std::vector<std::unique_ptr<QueryWorkspace>>& ws, ThreadPool& pool) {
-  // Before any state grows scratch into its workspace, pin each workspace's
-  // arena to the NUMA node of the pool thread that will run on it (NUMA
-  // half of the ROADMAP NUMA/THP item; PCONN_NUMA=0 disables, single-node
-  // machines are a no-op). The states below are constructed on the master
-  // thread, but mbind routes their blocks' pages to the workers' nodes.
-  pool.run([&](std::size_t t) {
-    ws[t]->arena().set_numa_node(Arena::current_numa_node());
-  });
-  std::vector<SpcsThreadStateT<Queue>> states;
-  states.reserve(ws.size());
-  for (auto& w : ws) states.emplace_back(w.get());
-  return states;
-}
-
-}  // namespace
-
 template <typename Queue>
 ParallelSpcsT<Queue>::ParallelSpcsT(const Timetable& tt, const TdGraph& g,
-                                    ParallelSpcsOptions opt)
+                                    ParallelSpcsOptions opt, SpcsPool* pool)
     : tt_(tt),
       g_(g),
       opt_(opt),
-      pool_(opt.threads),
-      workspaces_(make_workspaces(opt.threads)),
-      states_(make_states<Queue>(workspaces_, pool_)),
-      thread_ms_(opt.threads, 0.0) {}
+      owned_pool_(pool ? nullptr : std::make_unique<SpcsPool>(opt.threads)),
+      pool_(pool ? *pool : *owned_pool_),
+      thread_ms_(opt.threads, 0.0) {
+  if (pool_.size() != opt.threads) {
+    throw std::invalid_argument("parallel spcs: pool size != threads");
+  }
+  states_.reserve(opt.threads);
+  for (unsigned t = 0; t < opt.threads; ++t) {
+    states_.emplace_back(&pool_.workspace(t));
+  }
+}
 
 template <typename Queue>
 ParallelSpcsT<Queue>::~ParallelSpcsT() = default;
@@ -96,13 +75,6 @@ Profile ParallelSpcsT<Queue>::node_profile(StationId s, NodeId v) const {
   Profile raw;
   collect_raw_profile_at(s, v, raw);
   return reduce_profile(raw, tt_.period());
-}
-
-template <typename Queue>
-std::size_t ParallelSpcsT<Queue>::scratch_bytes_reserved() const {
-  std::size_t total = 0;
-  for (const auto& w : workspaces_) total += w->bytes_reserved();
-  return total;
 }
 
 template <typename Queue>

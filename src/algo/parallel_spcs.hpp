@@ -14,12 +14,11 @@
 #include "algo/counters.hpp"
 #include "algo/partition.hpp"
 #include "algo/spcs.hpp"
-#include "algo/workspace.hpp"
+#include "algo/spcs_pool.hpp"
 #include "graph/profile.hpp"
 #include "graph/td_graph.hpp"
 #include "timetable/timetable.hpp"
 #include "util/function_ref.hpp"
-#include "util/thread_pool.hpp"
 
 namespace pconn {
 
@@ -53,9 +52,10 @@ struct StationQueryResult {
 /// explicitly instantiates the four shipped policies; `ParallelSpcs` is
 /// the paper's binary-heap configuration.
 ///
-/// Lifecycle: the driver owns one QueryWorkspace per pool thread; every
-/// thread state's scratch (labels, queue, bucket window) lives in its
-/// thread's arena and is bound to the pool thread for the driver's whole
+/// Lifecycle: the driver runs on an SpcsPool (algo/spcs_pool.hpp) — its
+/// own, or one lent by a QuerySession that shares it with the session's
+/// other parallel engines. Every thread state's scratch (labels, queue,
+/// bucket window) lives in its pool thread's arena for the driver's whole
 /// lifetime — states are never respawned per query. The `_into` query
 /// variants additionally reuse caller-owned result buffers, so a warm
 /// driver answers queries without any heap allocation (QuerySession wraps
@@ -63,8 +63,11 @@ struct StationQueryResult {
 template <typename Queue = SpcsBinaryQueue>
 class ParallelSpcsT {
  public:
+  /// `pool` lends the fork-join threads and per-thread workspaces; it must
+  /// have opt.threads threads (std::invalid_argument otherwise) and
+  /// outlive the driver. Without one the driver owns a private pool.
   ParallelSpcsT(const Timetable& tt, const TdGraph& g,
-                ParallelSpcsOptions opt);
+                ParallelSpcsOptions opt, SpcsPool* pool = nullptr);
   ~ParallelSpcsT();
 
   /// One-to-all profile query from S, including merge and reduction.
@@ -110,9 +113,6 @@ class ParallelSpcsT {
   Profile node_profile(StationId s, NodeId v) const;
   void node_profile_into(StationId s, NodeId v, Profile& out);
 
-  /// Total arena footprint of the per-thread workspaces.
-  std::size_t scratch_bytes_reserved() const;
-
  private:
   /// The shared merge loop of the assemble/node_profile variants: raw
   /// (unreduced) per-connection arrivals at node `vn`, in partition order.
@@ -121,11 +121,11 @@ class ParallelSpcsT {
   const Timetable& tt_;
   const TdGraph& g_;
   ParallelSpcsOptions opt_;
-  ThreadPool pool_;
-  // One workspace per pool thread, allocated before the states so the
-  // states' containers can bind to the arenas; never touched concurrently
-  // by two threads (each state only grows its own workspace).
-  std::vector<std::unique_ptr<QueryWorkspace>> workspaces_;
+  // The private pool (null when one is lent) and the pool in use, both
+  // declared before the states, whose containers live in its arenas; each
+  // state only ever grows its own thread's workspace.
+  std::unique_ptr<SpcsPool> owned_pool_;
+  SpcsPool& pool_;
   std::vector<SpcsThreadStateT<Queue>> states_;
   std::vector<std::uint32_t> boundaries_;
   std::vector<double> thread_ms_;  // per-query scratch (one_to_all)

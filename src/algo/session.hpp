@@ -3,7 +3,10 @@
 //
 // The paper's speedups assume a server answering streams of queries; a
 // session is what such a server keeps per worker thread. It owns
-//  * the per-thread QueryWorkspaces (arenas) all engine scratch lives in,
+//  * the QueryWorkspace (arena) its single-threaded engines' scratch lives
+//    in, and one SpcsPool (algo/spcs_pool.hpp): the fork-join threads plus
+//    one workspace per thread that every parallel engine it builds
+//    borrows,
 //  * the engines themselves — lazily constructed on first use, then kept
 //    warm as cheap views over the workspaces,
 //  * reusable result buffers for the allocation-free query API.
@@ -14,8 +17,10 @@
 //
 // Threading rules (see docs/architecture.md): a session is single-owner —
 // construct one per application thread and do not share it. The parallel
-// engines inside (ParallelSpcsT and friends) still fan out over their own
-// thread pool; that parallelism is internal and safe.
+// engines inside (ParallelSpcsT and friends) fan out over the session's
+// SpcsPool (options().threads threads, the caller being thread 0); that
+// parallelism is internal and safe, and the engines take turns on the
+// pool because the session runs one query at a time.
 //
 // Results returned by reference (`const OneToAllResult&` etc.) live in the
 // session; each query kind has its own buffer, overwritten by the next
@@ -36,6 +41,7 @@
 #include "algo/overlay_query.hpp"
 #include "algo/overlay_spcs.hpp"
 #include "algo/parallel_spcs.hpp"
+#include "algo/spcs_pool.hpp"
 #include "algo/te_query.hpp"
 #include "algo/time_query.hpp"
 #include "algo/workspace.hpp"
@@ -104,9 +110,11 @@ class QuerySessionT {
   /// Rebinds the session to a new (timetable, graph) world — the epoch
   /// transition of the live-update subsystem (src/live/). Every engine is a
   /// view over the old world, so all engines are dropped and rebuilt lazily
-  /// on next use; the workspace arena rewinds its blocks without releasing
-  /// them and the result buffers keep their capacity, so a session returns
-  /// to its steady-state footprint instead of growing one arena per epoch.
+  /// on next use; the workspace arena and the SPCS pool's per-thread arenas
+  /// rewind their blocks without releasing them, the pool keeps its
+  /// threads, and the result buffers keep their capacity, so a session
+  /// returns to its steady-state footprint instead of growing arenas (or
+  /// respawning threads) per epoch.
   /// The first query of each kind after a rebind re-warms; queries after
   /// that are allocation-free again (tests/live_test.cpp guards this).
   /// Must not be called while a query is running.
@@ -132,17 +140,18 @@ class QuerySessionT {
     multi_.reset();
     multi_ov_.reset();
     multi_ov_graph_ = nullptr;
-    // All engine scratch above lived in ws_ (or in per-engine workspaces
-    // that died with their engine); with the views gone the arena can
-    // rewind in place.
+    // All engine scratch above lived in ws_ or in the SPCS pool's
+    // workspaces; with the views gone the arenas can rewind in place.
     ws_.arena().reset();
+    if (spcs_pool_) spcs_pool_->rewind();
   }
 
   // --- engine views (lazily constructed, persistent, workspace-backed) ---
 
   ParallelSpcsT<SpcsQueue>& profile_engine() {
     if (!spcs_) {
-      spcs_ = std::make_unique<ParallelSpcsT<SpcsQueue>>(*tt_, *g_, opt_.spcs());
+      spcs_ = std::make_unique<ParallelSpcsT<SpcsQueue>>(*tt_, *g_, opt_.spcs(),
+                                                         &spcs_pool());
     }
     return *spcs_;
   }
@@ -206,7 +215,7 @@ class QuerySessionT {
   OverlayParallelSpcsT<SpcsQueue>& overlay_spcs_engine(const OverlayGraph& ov) {
     if (!ov_spcs_ || ov_spcs_graph_ != &ov) {
       ov_spcs_ = std::make_unique<OverlayParallelSpcsT<SpcsQueue>>(
-          *tt_, *g_, ov, opt_.spcs());
+          *tt_, *g_, ov, opt_.spcs(), &spcs_pool());
       ov_spcs_graph_ = &ov;
     }
     return *ov_spcs_;
@@ -227,8 +236,8 @@ class QuerySessionT {
   S2sQueryEngineT<SpcsQueue>& s2s_engine(const StationGraph& sg,
                                          const DistanceTable* dt) {
     if (!s2s_ || s2s_sg_ != &sg || s2s_dt_ != dt) {
-      s2s_ = std::make_unique<S2sQueryEngineT<SpcsQueue>>(*tt_, *g_, sg, dt,
-                                                          opt_.s2s());
+      s2s_ = std::make_unique<S2sQueryEngineT<SpcsQueue>>(
+          *tt_, *g_, sg, dt, opt_.s2s(), &spcs_pool());
       s2s_sg_ = &sg;
       s2s_dt_ = dt;
     }
@@ -239,8 +248,8 @@ class QuerySessionT {
   /// queries after it reuse everything).
   AllToOneProfilesT<SpcsQueue>& all_to_one_engine() {
     if (!all_to_one_) {
-      all_to_one_ =
-          std::make_unique<AllToOneProfilesT<SpcsQueue>>(*tt_, opt_.spcs());
+      all_to_one_ = std::make_unique<AllToOneProfilesT<SpcsQueue>>(
+          *tt_, opt_.spcs(), &spcs_pool());
     }
     return *all_to_one_;
   }
@@ -467,16 +476,22 @@ class QuerySessionT {
 
   // --- memory accounting ---
 
-  /// Arena bytes pinned by this session: its own workspace plus the
-  /// per-thread workspaces of every parallel engine it has constructed
-  /// (profile, s2s, all-to-one) — the capacity-planning number.
+  /// Arena bytes pinned by this session: its own workspace plus every
+  /// per-thread workspace of the SPCS pool its parallel engines (profile,
+  /// overlay profile, s2s, all-to-one) share — the capacity-planning
+  /// number.
   std::size_t scratch_bytes_reserved() const {
     std::size_t total = ws_.bytes_reserved();
-    if (spcs_) total += spcs_->scratch_bytes_reserved();
-    if (ov_spcs_) total += ov_spcs_->scratch_bytes_reserved();
-    if (s2s_) total += s2s_->scratch_bytes_reserved();
-    if (all_to_one_) total += all_to_one_->scratch_bytes_reserved();
+    if (spcs_pool_) total += spcs_pool_->scratch_bytes_reserved();
     return total;
+  }
+
+  /// The pool (options().threads threads, one workspace each) every
+  /// parallel engine of this session borrows; created on first use and
+  /// kept across rebind().
+  SpcsPool& spcs_pool() {
+    if (!spcs_pool_) spcs_pool_ = std::make_unique<SpcsPool>(opt_.threads);
+    return *spcs_pool_;
   }
 
  private:
@@ -508,9 +523,11 @@ class QuerySessionT {
   const TdGraph* g_;
   QuerySessionOptions opt_;
 
-  // Workspace of the single-threaded engines. The parallel engines own one
-  // workspace per pool thread internally.
+  // Workspace of the single-threaded engines, and the threads + per-thread
+  // workspaces of the parallel ones. Declared before the engines, whose
+  // containers live in these arenas.
   QueryWorkspace ws_;
+  std::unique_ptr<SpcsPool> spcs_pool_;
 
   std::unique_ptr<ParallelSpcsT<SpcsQueue>> spcs_;
   std::unique_ptr<TimeQueryT<TimeQueue>> time_;

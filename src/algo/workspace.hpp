@@ -9,8 +9,9 @@
 // already grown to its high-water mark inside the arena.
 //
 // Threading rule (docs/architecture.md): one workspace per thread, no
-// sharing. ParallelSpcsT owns one workspace per pool thread; QuerySession
-// owns one for its single-threaded engines.
+// sharing. An SpcsPool holds one workspace per pool thread for the
+// parallel SPCS drivers (algo/spcs_pool.hpp); QuerySession owns one more
+// for its single-threaded engines.
 #pragma once
 
 #include <memory>

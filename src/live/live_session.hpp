@@ -8,10 +8,12 @@
 // writer publishing mid-query never moves the ground under a reader.
 //
 // Epoch transitions reuse the underlying session via rebind(): engines are
-// rebuilt lazily against the new world while the workspace arena and
-// result buffers keep their storage, so a session stays at steady-state
-// footprint across any number of epochs and queries are allocation-free
-// once re-warmed (tests/live_test.cpp guards both).
+// rebuilt lazily against the new world while the workspace arenas (the
+// session's own and its SPCS pool's, one per thread) and result buffers
+// keep their storage and the pool keeps its threads, so a session stays at
+// steady-state footprint across any number of epochs — at any thread
+// count — and queries are allocation-free once re-warmed
+// (tests/live_test.cpp guards both).
 //
 // Single-owner like QuerySessionT: one LiveQuerySession per application
 // thread, all sharing one LiveOverlay.

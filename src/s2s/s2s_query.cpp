@@ -112,7 +112,8 @@ struct S2sQueryEngineT<Queue>::Scratch {
 template <typename Queue>
 S2sQueryEngineT<Queue>::S2sQueryEngineT(const Timetable& tt, const TdGraph& g,
                                         const StationGraph& sg,
-                                        const DistanceTable* dt, S2sOptions opt)
+                                        const DistanceTable* dt, S2sOptions opt,
+                                        SpcsPool* pool)
     : tt_(tt),
       g_(g),
       sg_(sg),
@@ -125,7 +126,8 @@ S2sQueryEngineT<Queue>::S2sQueryEngineT(const Timetable& tt, const TdGraph& g,
                                 .stopping_criterion = opt.stopping_criterion,
                                 .prune_on_relax = opt.prune_on_relax,
                                 .relax = opt.relax,
-                                .batch_min_edges = opt.batch_min_edges}),
+                                .batch_min_edges = opt.batch_min_edges},
+            pool),
       scratch_(std::make_unique<Scratch>()) {
   scratch_->mu_hooks.resize(opt_.threads);
   scratch_->target_hooks.resize(opt_.threads);

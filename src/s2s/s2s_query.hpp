@@ -38,10 +38,11 @@ struct S2sOptions {
 template <typename Queue = SpcsBinaryQueue>
 class S2sQueryEngineT {
  public:
-  /// `dt` may be nullptr (no distance-table acceleration).
+  /// `dt` may be nullptr (no distance-table acceleration). `pool` is
+  /// lent to the inner driver (ParallelSpcsT); null = a private pool.
   S2sQueryEngineT(const Timetable& tt, const TdGraph& g,
                   const StationGraph& sg, const DistanceTable* dt,
-                  S2sOptions opt);
+                  S2sOptions opt, SpcsPool* pool = nullptr);
   ~S2sQueryEngineT();
 
   /// Reduced profile dist(S, T, ·) over the whole period.
@@ -52,11 +53,6 @@ class S2sQueryEngineT {
   /// Classification of the last query (bench/diagnostics).
   enum class Kind { kPlain, kLocal, kGlobal, kTargetTransfer, kTableLookup };
   Kind last_kind() const { return last_kind_; }
-
-  /// Arena footprint of the inner driver's per-thread workspaces.
-  std::size_t scratch_bytes_reserved() const {
-    return spcs_.scratch_bytes_reserved();
-  }
 
  private:
   struct Scratch;  // persistent hooks + via/merge buffers (s2s_query.cpp)

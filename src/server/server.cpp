@@ -4,6 +4,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sched.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -127,6 +128,28 @@ AdmissionPlan plan_admission(std::size_t memory_budget_bytes,
 }
 
 // ---------------------------------------------------------------------------
+// CPU share
+
+unsigned affinity_cpu_count() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int n = CPU_COUNT(&set);
+    if (n > 0) return static_cast<unsigned>(n);
+  }
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
+unsigned spcs_threads_per_worker(unsigned cpus, unsigned workers) {
+  if (cpus == 0) cpus = affinity_cpu_count();
+  return std::max(1u, cpus / std::max(1u, workers));
+}
+
+unsigned shard_cpu_share(unsigned affinity, unsigned shards) {
+  return std::max(1u, affinity / std::max(1u, shards));
+}
+
+// ---------------------------------------------------------------------------
 // Lifecycle
 
 QueryServer::QueryServer(const LiveOverlay& live, ServerOptions opt,
@@ -134,7 +157,9 @@ QueryServer::QueryServer(const LiveOverlay& live, ServerOptions opt,
     : live_(live),
       opt_(std::move(opt)),
       session_opt_(session_opt),
-      stats_(std::make_unique<AtomicStats>()) {}
+      stats_(std::make_unique<AtomicStats>()) {
+  session_opt_.threads = spcs_threads_per_worker(opt_.cpus, opt_.workers);
+}
 
 QueryServer::~QueryServer() {
   stop();
@@ -146,7 +171,9 @@ void QueryServer::start() {
 
   // Measure, don't guess: one probe session warmed through both engine
   // families tells us the steady-state per-worker scratch footprint that
-  // the admission plan must reserve before it budgets queue slots.
+  // the admission plan must reserve before it budgets queue slots. It runs
+  // with the workers' options, so its profile query fans out over the same
+  // thread count and the figure includes every per-thread arena.
   {
     LiveQuerySession probe(live_, session_opt_);
     const std::size_t n = probe.pinned().tt->num_stations();

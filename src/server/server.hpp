@@ -7,7 +7,10 @@
 // and flushes worker-produced responses back to sockets. A fixed pool of
 // workers each owns one warm LiveQuerySessionT and picks requests up by
 // atomic index; answers are encoded through src/server/protocol.hpp, the
-// same encoders the byte-identity oracles use.
+// same encoders the byte-identity oracles use. A worker answers a profile
+// request with the paper's partitioned parallel SPCS over its share of
+// the CPUs (spcs_threads_per_worker()); EA requests run on the worker
+// alone.
 //
 // The resilience ladder, top to bottom — every rung answers with a typed
 // Status instead of crashing, blocking, or growing without bound:
@@ -63,6 +66,12 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  // 0 = ephemeral; read the bound port via port()
   unsigned workers = 1;
+  /// CPUs the workers share; 0 = the size of this process's
+  /// sched_getaffinity mask (affinity_cpu_count()). Each worker's profile
+  /// requests fan out over spcs_threads_per_worker(cpus, workers)
+  /// threads. A shard of an N-shard fleet gets shard_cpu_share(affinity,
+  /// N), so sibling shards do not oversubscribe the machine N-fold.
+  unsigned cpus = 0;
 
   /// >= 0: adopt this already-bound, already-listening socket instead of
   /// creating one (the supervisor passes each shard its SO_REUSEPORT
@@ -108,6 +117,22 @@ AdmissionPlan plan_admission(std::size_t memory_budget_bytes,
                              std::size_t per_worker_scratch_bytes,
                              std::size_t max_request_bytes);
 
+/// CPUs in this process's sched_getaffinity mask — what cpusets and
+/// taskset leave it — falling back to hardware_concurrency() when the
+/// mask cannot be read. Always >= 1.
+unsigned affinity_cpu_count();
+
+/// The CPU-share rule of the serving path: each of `workers` workers runs
+/// its profile requests' partitioned SPCS on max(1, cpus / workers)
+/// threads, so all workers fanning out at once stay within `cpus`. A
+/// `cpus` of 0 means affinity_cpu_count(); `workers` of 0 counts as 1.
+unsigned spcs_threads_per_worker(unsigned cpus, unsigned workers);
+
+/// The CPUs one of `shards` sibling shard processes may use on a machine
+/// (or cpuset) of `affinity` CPUs: max(1, affinity / shards), `shards` of
+/// 0 counting as 1. pconn_shardd sets ServerOptions::cpus to this.
+unsigned shard_cpu_share(unsigned affinity, unsigned shards);
+
 /// Monotonic counters, readable from any thread while the server runs.
 struct ServerStats {
   std::uint64_t connections_accepted = 0;
@@ -130,6 +155,11 @@ class QueryServer {
   /// Serves `live`'s epochs. The LiveOverlay must outlive the server;
   /// apply()/retry() stay with the caller's updater thread (single-writer
   /// contract) — the server only ever reads snapshots.
+  ///
+  /// `session_opt` configures every worker's session (and the admission
+  /// probe's) except `threads`, which the server derives:
+  /// spcs_threads_per_worker(opt.cpus, opt.workers). Whatever the caller
+  /// sets there is overwritten; read the result via session_options().
   QueryServer(const LiveOverlay& live, ServerOptions opt = {},
               QuerySessionOptions session_opt = {});
   ~QueryServer();
@@ -144,6 +174,8 @@ class QueryServer {
   /// The bound port (after start()); useful with opt.port = 0.
   std::uint16_t port() const { return port_; }
   const AdmissionPlan& admission() const { return plan_; }
+  /// The options every worker session runs with (threads derived).
+  const QuerySessionOptions& session_options() const { return session_opt_; }
 
   /// Async-signal-safe drain trigger: stop accepting, answer new requests
   /// kShuttingDown, finish the queue within drain_deadline_ms, flush and

@@ -10,6 +10,11 @@
 // the supervisor's fleet drain) flips QueryServer::draining(); the loop
 // notices, stops beating, waits for the in-place drain, exits 0.
 //
+// CPU share: the supervisor passes --workers=W and --shards=N (default 1
+// when run by hand). The shard takes shard_cpu_share(affinity, N) of the
+// CPUs in its affinity mask as ServerOptions::cpus, and its W workers
+// split that share for their profile fan-out (spcs_threads_per_worker).
+//
 // Any failure before serving begins — unreadable or corrupt snapshot,
 // snapshot from a different dataset, unusable listener fd — exits with
 // kShardExitSnapshotFatal: it is deterministic, a restart replays it, and
@@ -55,6 +60,7 @@ int shard_process_main(int argc, char** argv) {
   int heartbeat_fd = 4;
   std::string snapshot_path;
   unsigned workers = 1;
+  unsigned shards = 1;
   unsigned shard_index = 0;
   double heartbeat_interval_ms = 20.0;
   double request_deadline_ms = 1000.0;
@@ -74,6 +80,8 @@ int shard_process_main(int argc, char** argv) {
       snapshot_path = v;
     } else if (parse_flag(argv[i], "--workers", &v)) {
       workers = static_cast<unsigned>(std::atoi(v.c_str()));
+    } else if (parse_flag(argv[i], "--shards", &v)) {
+      shards = static_cast<unsigned>(std::atoi(v.c_str()));
     } else if (parse_flag(argv[i], "--shard-index", &v)) {
       shard_index = static_cast<unsigned>(std::atoi(v.c_str()));
     } else if (parse_flag(argv[i], "--heartbeat-interval-ms", &v)) {
@@ -137,6 +145,7 @@ int shard_process_main(int argc, char** argv) {
   ServerOptions sopt;
   sopt.listen_fd = listen_fd;
   sopt.workers = workers;
+  sopt.cpus = shard_cpu_share(affinity_cpu_count(), shards);
   sopt.request_deadline_ms = request_deadline_ms;
   sopt.drain_deadline_ms = drain_deadline_ms;
   sopt.queue_capacity = queue_capacity;

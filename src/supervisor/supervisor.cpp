@@ -187,6 +187,7 @@ bool ShardSupervisor::spawn_shard(unsigned idx) {
   argv.push_back(const_cast<char*>("--heartbeat-fd=4"));
   argv.push_back(const_cast<char*>(snapshot_arg.c_str()));
   argv.push_back(fmt_arg("--workers=%u", opt_.shard_workers));
+  argv.push_back(fmt_arg("--shards=%u", opt_.shards));
   argv.push_back(fmt_arg("--shard-index=%u", idx));
   argv.push_back(
       fmt_arg("--heartbeat-interval-ms=%.3f", opt_.heartbeat_interval_ms));

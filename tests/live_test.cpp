@@ -21,6 +21,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <thread>
 #include <vector>
 
 #include "algo/contraction.hpp"
@@ -663,6 +664,63 @@ TEST(LiveSession, WarmQueriesStayAllocationFreeAcrossEpochs) {
   EXPECT_EQ(alloc_count() - before, 0u)
       << "warm queries allocated after the epoch transition";
   EXPECT_GT(sink, 0u);
+}
+
+TEST(LiveSession, SpcsPoolKeptAcrossEpochs) {
+  // The session's SPCS pool outlives every epoch: rebind() keeps its
+  // threads (no join + respawn per publish) and rewinds its per-thread
+  // arenas in place, so the parallel engines re-warm at the footprint they
+  // had on epoch 0 — on overlay and degraded (flat engine) epochs alike.
+  FaultInjector faults;
+  LiveOverlayOptions lopt;
+  lopt.faults = &faults;
+  lopt.relink.faults = &faults;
+  LiveOverlay live(test::small_city(46), lopt);
+  QuerySessionOptions sopt;
+  sopt.threads = 3;
+  LiveQuerySession reader(live, sopt);
+  const auto n = static_cast<StationId>(live.snapshot()->tt->num_stations());
+  auto run_mix = [&] {
+    for (StationId s = 0; s < 4; ++s) {
+      (void)reader.one_to_all(s);
+      (void)reader.station_to_station(s, n - 1 - s);
+    }
+  };
+  auto pool_threads = [&] {
+    std::vector<std::thread::id> ids(sopt.threads);
+    reader.session().spcs_pool().run(
+        [&](std::size_t t) { ids[t] = std::this_thread::get_id(); });
+    return ids;
+  };
+
+  run_mix();
+  const std::size_t footprint = reader.session().scratch_bytes_reserved();
+  const std::vector<std::thread::id> threads = pool_threads();
+  const SpcsPool* pool = &reader.session().spcs_pool();
+
+  for (int k = 0; k < 3; ++k) {
+    ASSERT_EQ(live.apply(DelayEvent::delayed(k, 0, 120)).status,
+              ApplyStatus::kRelinked);
+    run_mix();  // rebind + re-warm
+    EXPECT_EQ(&reader.session().spcs_pool(), pool) << "epoch " << live.epoch();
+    EXPECT_EQ(pool_threads(), threads) << "epoch " << live.epoch();
+    EXPECT_EQ(reader.session().scratch_bytes_reserved(), footprint)
+        << "epoch " << live.epoch();
+  }
+
+  // A degraded epoch runs the flat driver on the same pool.
+  faults.arm(FaultInjector::Site::kRelinkShortcut);
+  ASSERT_EQ(live.apply(DelayEvent::delayed(3, 0, 60)).status,
+            ApplyStatus::kDegraded);
+  run_mix();
+  ASSERT_TRUE(reader.serving_degraded());
+  EXPECT_EQ(pool_threads(), threads);
+  const std::size_t flat_footprint = reader.session().scratch_bytes_reserved();
+  ASSERT_EQ(live.apply(DelayEvent::delayed(4, 0, 60)).status,
+            ApplyStatus::kDegraded);
+  run_mix();
+  EXPECT_EQ(pool_threads(), threads);
+  EXPECT_EQ(reader.session().scratch_bytes_reserved(), flat_footprint);
 }
 
 }  // namespace

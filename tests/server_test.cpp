@@ -8,14 +8,22 @@
 //    accept failures, slow-client output caps, idle reaping;
 //  * drain: in-flight work finishes, late requests get kShuttingDown or a
 //    clean close, SIGTERM-installed drain shuts the listener;
-//  * plan_admission() math.
+//  * plan_admission() math, and the admission probe measuring scratch at
+//    the thread count the workers serve with;
+//  * the CPU-share rule (spcs_threads_per_worker, shard_cpu_share), and
+//    workers fanning profile requests over p >= 2 threads answering
+//    byte-identically to threads = 1 sessions under concurrent clients,
+//    across an epoch publish and on a degraded epoch.
 #include <gtest/gtest.h>
 #include <pthread.h>
+#include <sched.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -73,6 +81,261 @@ TEST(ServerProtocol, AdmissionPlanMath) {
   p = plan_admission(std::size_t{1} << 40, 1, 0, std::size_t{64} << 10);
   EXPECT_EQ(p.queue_capacity, 4096u);
   EXPECT_EQ(p.max_connections, 4096u);
+}
+
+TEST(ServerCpuShare, ThreadsPerWorkerRule) {
+  // Each worker gets an even share of the CPUs for its profile fan-out.
+  EXPECT_EQ(spcs_threads_per_worker(4, 1), 4u);
+  EXPECT_EQ(spcs_threads_per_worker(4, 2), 2u);
+  EXPECT_EQ(spcs_threads_per_worker(5, 2), 2u);  // rounds down
+  EXPECT_EQ(spcs_threads_per_worker(8, 0), 8u);  // 0 workers counts as 1
+  // The floor at 1: a single CPU, and more workers than CPUs.
+  EXPECT_EQ(spcs_threads_per_worker(1, 1), 1u);
+  EXPECT_EQ(spcs_threads_per_worker(1, 4), 1u);
+  EXPECT_EQ(spcs_threads_per_worker(3, 8), 1u);
+
+  // cpus = 0 resolves to the affinity mask, not hardware_concurrency.
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(::sched_getaffinity(0, sizeof(set), &set), 0);
+  const unsigned affinity = static_cast<unsigned>(CPU_COUNT(&set));
+  EXPECT_EQ(affinity_cpu_count(), affinity);
+  EXPECT_EQ(spcs_threads_per_worker(0, 1), affinity);
+  EXPECT_EQ(spcs_threads_per_worker(0, affinity), 1u);
+  EXPECT_EQ(spcs_threads_per_worker(0, 2 * affinity), 1u);
+}
+
+TEST(ServerCpuShare, ShardShareThenWorkerShare) {
+  // pconn_shardd's rule: affinity / shards, never 0 (0 would mean "the
+  // whole affinity mask" to ServerOptions::cpus).
+  EXPECT_EQ(shard_cpu_share(8, 2), 4u);
+  EXPECT_EQ(shard_cpu_share(7, 2), 3u);
+  EXPECT_EQ(shard_cpu_share(4, 8), 1u);
+  EXPECT_EQ(shard_cpu_share(4, 0), 4u);
+  EXPECT_EQ(shard_cpu_share(4, 1), 4u);
+  // Composed as a shard applies it: 2 shards x 2 workers on 8 CPUs fan
+  // out 2-wide each, 8 threads in all; an oversubscribed fleet floors.
+  EXPECT_EQ(spcs_threads_per_worker(shard_cpu_share(8, 2), 2), 2u);
+  EXPECT_EQ(spcs_threads_per_worker(shard_cpu_share(4, 8), 1), 1u);
+  EXPECT_EQ(spcs_threads_per_worker(shard_cpu_share(16, 3), 2), 2u);
+}
+
+TEST(ServerCpuShare, ServerDerivesSessionThreads) {
+  // The caller's QuerySessionOptions::threads is overwritten by the rule.
+  LiveOverlay live(test::tiny_line());
+  ServerOptions opt = fast_opts();
+  opt.workers = 2;
+  opt.cpus = 6;
+  QuerySessionOptions sopt;
+  sopt.threads = 7;
+  QueryServer server(live, opt, sopt);
+  EXPECT_EQ(server.session_options().threads, 3u);
+  opt.cpus = 0;
+  QueryServer by_affinity(live, opt, sopt);
+  EXPECT_EQ(by_affinity.session_options().threads,
+            spcs_threads_per_worker(0, 2));
+}
+
+TEST(Server, AdmissionProbeMeasuresAtServedThreadCount) {
+  // The per-worker scratch the plan reserves must be what a worker
+  // session actually pins: measured at the served thread count, every
+  // per-thread arena included.
+  LiveOverlay live(test::small_city(47));
+  ServerOptions opt = fast_opts();
+  opt.cpus = 2;
+  QueryServer server(live, opt);
+  server.start();
+  ASSERT_EQ(server.session_options().threads, 2u);
+
+  const auto n = static_cast<StationId>(live.snapshot()->tt->num_stations());
+  auto warm = [&](LiveQuerySession& s) {
+    (void)s.earliest_arrival(0, 0, n - 1);
+    (void)s.station_to_station(0, n - 1);
+    return s.session().scratch_bytes_reserved();
+  };
+  LiveQuerySession served(live, server.session_options());
+  const std::size_t planned = server.admission().per_worker_scratch_bytes;
+  EXPECT_EQ(planned, warm(served));
+  // Both threads' arenas hold scratch, and the figure covers them all.
+  SpcsPool& pool = served.session().spcs_pool();
+  ASSERT_EQ(pool.size(), 2u);
+  std::size_t per_thread = 0;
+  for (unsigned t = 0; t < pool.size(); ++t) {
+    EXPECT_GT(pool.workspace(t).bytes_reserved(), 0u) << "thread " << t;
+    per_thread += pool.workspace(t).bytes_reserved();
+  }
+  EXPECT_GE(planned, per_thread);
+  // A server at one thread per worker plans its own (different) figure.
+  opt.cpus = 1;
+  QueryServer serial(live, opt);
+  serial.start();
+  LiveQuerySession one(live, serial.session_options());
+  EXPECT_EQ(serial.admission().per_worker_scratch_bytes, warm(one));
+  EXPECT_NE(serial.admission().per_worker_scratch_bytes, planned);
+  serial.stop();
+  server.stop();
+}
+
+TEST(Server, ParallelWorkerSessionsAnswerByteIdentically) {
+  // Two workers whose sessions fan profile requests out over 2 threads
+  // each, hammered by concurrent clients while the writer publishes: every
+  // answer must equal, byte for byte, a threads = 1 direct session's at
+  // the epoch the response reports — on overlay epochs (overlay SPCS) and
+  // on a degraded epoch (flat SPCS).
+  FaultInjector faults;
+  LiveOverlayOptions lopt;
+  lopt.faults = &faults;
+  lopt.relink.faults = &faults;
+  LiveOverlay live(test::small_city(46), lopt);
+  ServerOptions opt = fast_opts();
+  opt.workers = 2;
+  opt.cpus = 4;
+  opt.request_deadline_ms = 30'000.0;  // sanitizer builds run slowly
+  QueryServer server(live, opt);
+  ASSERT_EQ(server.session_options().threads, 2u);
+  server.start();
+
+  struct Req {
+    Opcode op;
+    StationId s, t;
+    Time dep;
+  };
+  const auto n = live.snapshot()->tt->num_stations();
+  std::vector<Req> reqs;
+  Rng rng(4646);
+  for (int i = 0; i < 32; ++i) {
+    const auto s = static_cast<StationId>(rng.next_below(n));
+    const auto t = static_cast<StationId>(rng.next_below(n));
+    const auto dep = static_cast<Time>(rng.next_below(24 * 3600));
+    reqs.push_back({i % 2 ? Opcode::kEarliestArrival : Opcode::kProfile, s, t,
+                    dep});
+  }
+
+  // threads = 1 oracles, one per epoch; manual refresh keeps each pinned
+  // to its epoch after the writer moves on.
+  std::map<std::uint64_t, std::unique_ptr<LiveQuerySession>> direct;
+  auto pin_current = [&] {
+    auto d = std::make_unique<LiveQuerySession>(live);
+    d->set_auto_refresh(false);
+    const std::uint64_t e = d->epoch();
+    direct[e] = std::move(d);
+  };
+
+  struct Reply {
+    std::size_t req;
+    std::uint32_t req_id;
+    std::string payload;
+  };
+  constexpr int kClients = 4;
+  // Each client cycles through every request (from its own offset) and
+  // records the raw payloads; `publish` runs on this thread once a third
+  // of the first pass is answered, and each client then finishes a full
+  // pass begun after it returned, so both sides of the publish are served.
+  auto serve_round = [&](const std::function<void()>& publish) {
+    std::atomic<int> answered{0};
+    std::atomic<int> finished{0};
+    std::atomic<bool> published{false};
+    std::vector<std::vector<Reply>> got(kClients);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        struct Done {
+          std::atomic<int>& n;
+          ~Done() { n.fetch_add(1, std::memory_order_release); }
+        } done{finished};
+        BlockingClient client(kHost, server.port());
+        std::uint32_t req_id = static_cast<std::uint32_t>(c) << 24;
+        for (bool last = false; !last;) {
+          last = published.load(std::memory_order_acquire);
+          for (std::size_t k = 0; k < reqs.size(); ++k) {
+            const std::size_t i = (k + 8 * c) % reqs.size();
+            const Req& r = reqs[i];
+            ++req_id;
+            const bool sent =
+                r.op == Opcode::kProfile
+                    ? client.send_raw(encode_profile(req_id, r.s, r.t))
+                    : client.send_raw(
+                          encode_earliest_arrival(req_id, r.s, r.dep, r.t));
+            auto payload = client.recv_frame();
+            if (!sent || !payload) return;  // counted as missing below
+            got[c].push_back({i, req_id, std::move(*payload)});
+            answered.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      });
+    }
+    const int third = kClients * static_cast<int>(reqs.size()) / 3;
+    while (answered.load(std::memory_order_relaxed) < third &&
+           finished.load(std::memory_order_acquire) < kClients) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    publish();
+    published.store(true, std::memory_order_release);
+    for (std::thread& t : clients) t.join();
+    pin_current();
+    std::vector<Reply> all;
+    for (auto& g : got) {
+      EXPECT_GE(g.size(), 2 * reqs.size()) << "a client lost its connection";
+      for (Reply& r : g) all.push_back(std::move(r));
+    }
+    return all;
+  };
+
+  // Checks every reply against its epoch's oracle, counting per epoch.
+  std::map<std::uint64_t, int> per_epoch;
+  auto check = [&](const std::vector<Reply>& replies) {
+    for (const Reply& rep : replies) {
+      const auto d = decode_response(rep.payload.data(), rep.payload.size());
+      ASSERT_TRUE(d.has_value());
+      ASSERT_EQ(d->header.status, Status::kOk);
+      ASSERT_EQ(direct.count(d->header.epoch), 1u)
+          << "unexpected epoch " << d->header.epoch;
+      LiveQuerySession& o = *direct[d->header.epoch];
+      const Req& r = reqs[rep.req];
+      ResponseHeader h;
+      h.status = Status::kOk;
+      h.opcode = r.op;
+      h.req_id = rep.req_id;
+      h.epoch = o.epoch();
+      h.degraded = o.serving_degraded();
+      const std::string want =
+          r.op == Opcode::kProfile
+              ? encode_profile_response(h, o.station_to_station(r.s, r.t)
+                                               .profile)
+              : encode_ea_response(h, o.earliest_arrival(r.s, r.dep, r.t));
+      EXPECT_EQ(rep.payload, strip_frame(want))
+          << (r.op == Opcode::kProfile ? "profile " : "ea ") << r.s << "->"
+          << r.t << " at epoch " << o.epoch();
+      ++per_epoch[d->header.epoch];
+    }
+  };
+
+  // Round 1: overlay epoch 0, a delay published mid-round (epoch 1).
+  pin_current();
+  const auto round1 = serve_round([&] {
+    const ApplyStatus st = live.apply(DelayEvent::delayed(0, 0, 300)).status;
+    EXPECT_TRUE(st == ApplyStatus::kRelinked ||
+                st == ApplyStatus::kRecontracted);
+  });
+  check(round1);
+  EXPECT_GT(per_epoch[0], 0);
+  EXPECT_GT(per_epoch[1], 0);
+
+  // Round 2: a relink fault degrades epoch 2 (flat engines); the retry
+  // mid-round recontracts into epoch 3.
+  faults.arm(FaultInjector::Site::kRelinkShortcut);
+  ASSERT_EQ(live.apply(DelayEvent::delayed(1, 0, 240)).status,
+            ApplyStatus::kDegraded);
+  pin_current();
+  ASSERT_TRUE(direct[2]->serving_degraded());
+  const auto round2 = serve_round([&] {
+    EXPECT_EQ(live.retry().status, ApplyStatus::kRecontracted);
+  });
+  check(round2);
+  EXPECT_GT(per_epoch[2], 0);
+  EXPECT_GT(per_epoch[3], 0);
+  EXPECT_GE(server.stats().degraded_served, 1u);
+  server.stop();
 }
 
 TEST(Server, BinaryResponsesByteIdenticalToDirectSession) {
