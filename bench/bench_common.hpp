@@ -10,8 +10,8 @@
 //   --smoke        CI preset: caps scale and query count so the bench
 //                  finishes in seconds;
 //   --json[=FILE]  machine-readable JSON results to stdout (or FILE);
-//   --queue=NAME   queue policy (binary | quaternary | lazy | bucket) for
-//                  the benches that dispatch on it.
+//   --queue=NAME   queue policy (binary | bucket) for the benches that
+//                  dispatch on it.
 #pragma once
 
 #include <algorithm>
@@ -73,7 +73,7 @@ inline void parse_bench_args(int argc, char** argv) {
       auto kind = parse_queue_kind(arg.substr(8));
       if (!kind) {
         std::cerr << "unknown queue policy '" << arg.substr(8)
-                  << "' (binary | quaternary | lazy | bucket)\n";
+                  << "' (binary | bucket)\n";
         std::exit(2);
       }
       options().queue = *kind;

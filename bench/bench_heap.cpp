@@ -1,6 +1,5 @@
-// Head-to-head comparison of the queue policies (queue_policy.hpp):
-// the paper's binary heap, a 4-ary heap, the lazy-deletion heap, and the
-// two-level monotone bucket queue.
+// Head-to-head comparison of the two queue policies (queue_policy.hpp):
+// the paper's binary heap and the two-level monotone bucket queue.
 //
 // Two workloads:
 //  * micro — a synthetic monotone Dijkstra mix (seed pushes, then pops
@@ -25,8 +24,8 @@ namespace {
 
 // --------------------------------------------------------------- micro ---
 // A monotone Dijkstra-shaped mix over composite SPCS-style keys. The
-// addressable policies use push_or_decrease; the lazy ones re-push and
-// filter stale pops against the settled bitmap, exactly like the engines.
+// binary heap uses push_or_decrease; the bucket queue re-pushes and
+// filters stale pops against the settled bitmap, exactly like the engines.
 template <typename Queue>
 std::uint64_t run_micro(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -192,33 +191,27 @@ int main(int argc, char** argv) {
   using namespace pconn::bench;
   parse_bench_args(argc, argv);
 
-  std::cout << "Queue-policy head-to-head: binary vs 4-ary vs lazy vs bucket\n";
+  std::cout << "Queue-policy head-to-head: binary vs bucket\n";
 
   // Micro workload.
   std::vector<std::string> micro_lines;
   std::cout << "\n== micro: monotone Dijkstra mix ==\n";
-  TablePrinter micro({"n", "binary [ms]", "4-ary [ms]", "lazy [ms]",
-                      "bucket [ms]"});
+  TablePrinter micro({"n", "binary [ms]", "bucket [ms]"});
   const std::vector<std::size_t> sizes =
       options().smoke ? std::vector<std::size_t>{1 << 14}
                       : std::vector<std::size_t>{1 << 10, 1 << 14, 1 << 17};
   for (std::size_t n : sizes) {
     const int reps = n >= (1 << 17) ? 3 : 10;
     auto b = measure_micro<SpcsBinaryQueue>(n, reps);
-    auto q4 = measure_micro<SpcsQuaternaryQueue>(n, reps);
-    auto lz = measure_micro<SpcsLazyQueue>(n, reps);
     auto bk = measure_micro<SpcsBucketQueue>(n, reps);
-    if (b.checksum != q4.checksum || b.checksum != lz.checksum ||
-        b.checksum != bk.checksum) {
+    if (b.checksum != bk.checksum) {
       std::cerr << "checksum mismatch in micro workload!\n";
       return 1;
     }
-    micro.add_row({std::to_string(n), fixed(b.ms, 3), fixed(q4.ms, 3),
-                   fixed(lz.ms, 3), fixed(bk.ms, 3)});
+    micro.add_row({std::to_string(n), fixed(b.ms, 3), fixed(bk.ms, 3)});
     std::ostringstream line;
     line << "{\"n\": " << n << ", \"binary_ms\": " << fixed(b.ms, 3)
-         << ", \"quaternary_ms\": " << fixed(q4.ms, 3) << ", \"lazy_ms\": "
-         << fixed(lz.ms, 3) << ", \"bucket_ms\": " << fixed(bk.ms, 3) << "}";
+         << ", \"bucket_ms\": " << fixed(bk.ms, 3) << "}";
     micro_lines.push_back(line.str());
   }
   micro.print();

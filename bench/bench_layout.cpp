@@ -100,7 +100,7 @@ struct LegacyGraph {
 /// legacy layout, with the same binary heap and epoch arrays.
 struct LegacyTimeQuery {
   const LegacyGraph& g;
-  DAryHeap<Time, 2> heap;
+  BinaryHeap<Time> heap;
   EpochArray<Time> dist;
   EpochArray<NodeId> parent;  // seed TimeQuery tracks parents — so do we
   EpochArray<std::uint8_t> settled;

@@ -5,7 +5,7 @@
 // bench quantifies the saved work (results are bit-identical; the test
 // suite asserts that).
 // Grown into a two-dimensional ablation: relax-time pruning x queue policy
-// (binary vs 4-ary vs lazy vs bucket) — relax-time pruning saves exactly
+// (binary vs bucket) — relax-time pruning saves exactly
 // the queue operations whose cost the policy determines, so the two knobs
 // interact.
 #include <iostream>

@@ -52,10 +52,8 @@ OneToAllResult AllToOneProfilesT<Queue>::all_to_one(StationId target) {
   return out;
 }
 
-// The four shipped queue policies (queue_policy.hpp).
+// The two shipped queue policies (queue_policy.hpp).
 template class AllToOneProfilesT<SpcsBinaryQueue>;
-template class AllToOneProfilesT<SpcsQuaternaryQueue>;
-template class AllToOneProfilesT<SpcsLazyQueue>;
 template class AllToOneProfilesT<SpcsBucketQueue>;
 
 }  // namespace pconn

@@ -15,7 +15,7 @@ namespace pconn {
 
 /// Template over the SPCS queue policy of the underlying reverse-run
 /// driver (queue_policy.hpp); definitions in all_to_one.cpp instantiate
-/// the four shipped policies. `AllToOneProfiles` is the paper's
+/// the two shipped policies. `AllToOneProfiles` is the paper's
 /// binary-heap configuration.
 template <typename Queue = SpcsBinaryQueue>
 class AllToOneProfilesT {

@@ -101,8 +101,6 @@ std::optional<Journey> extract_journey(const Timetable& tt, const TdGraph& g,
       const Timetable&, const TdGraph&, const TimeQueryT<Q>&, StationId,      \
       Time, StationId, std::vector<NodeId>&, Journey&);
 PCONN_INSTANTIATE_JOURNEY(TimeBinaryQueue)
-PCONN_INSTANTIATE_JOURNEY(TimeQuaternaryQueue)
-PCONN_INSTANTIATE_JOURNEY(TimeLazyQueue)
 PCONN_INSTANTIATE_JOURNEY(TimeBucketQueue)
 #undef PCONN_INSTANTIATE_JOURNEY
 

@@ -12,13 +12,11 @@ Profile merge_profiles(const Profile& a, const Profile& b, Time period) {
   return reduce_profile(u, period);
 }
 
-template <typename Queue>
-LcProfileQueryT<Queue>::LcProfileQueryT(const Timetable& tt, const TdGraph& g,
-                                        QueryWorkspace* ws)
+LcProfileQuery::LcProfileQuery(const Timetable& tt, const TdGraph& g,
+                               QueryWorkspace* ws)
     : tt_(tt),
       g_(g),
       heap_(scratch_alloc(ws)),
-      qkey_(scratch_alloc(ws)),
       touched_(ArenaAllocator<NodeId>(scratch_alloc(ws))),
       dirty_(ArenaAllocator<std::uint8_t>(scratch_alloc(ws))),
       init_(ArenaAllocator<ProfilePoint>(scratch_alloc(ws))),
@@ -30,13 +28,9 @@ LcProfileQueryT<Queue>::LcProfileQueryT(const Timetable& tt, const TdGraph& g,
   dirty_.assign(g.num_nodes(), 0);
 }
 
-template <typename Queue>
-void LcProfileQueryT<Queue>::run(StationId s) {
+void LcProfileQuery::run(StationId s) {
   stats_ = QueryStats{};
   heap_.clear();
-  if constexpr (!Queue::kAddressable) {
-    qkey_.ensure_and_clear(g_.num_nodes(), kInfTime);
-  }
   for (NodeId v : touched_) {
     labels_[v].clear();
     dirty_[v] = 0;
@@ -49,28 +43,16 @@ void LcProfileQueryT<Queue>::run(StationId s) {
     }
   };
 
-  // Queue insertion point shared by both policy flavours. For the lazy
-  // flavour, a node's live entry is the one whose key matches qkey_;
-  // superseded entries stay in the heap and are dropped at pop.
   auto enqueue = [&](NodeId v, Time key) {
-    if constexpr (Queue::kAddressable) {
-      switch (heap_.push_or_decrease(v, key)) {
-        case QueuePush::kPushed:
-          stats_.pushed++;
-          break;
-        case QueuePush::kDecreased:
-          stats_.decreased++;
-          break;
-        case QueuePush::kUnchanged:
-          break;
-      }
-    } else {
-      const bool queued = qkey_.touched(v) && qkey_.get(v) != kInfTime;
-      if (!queued || key < qkey_.get(v)) {
-        heap_.push(v, key);
-        qkey_.set(v, key);
+    switch (heap_.push_or_decrease(v, key)) {
+      case QueuePush::kPushed:
         stats_.pushed++;
-      }
+        break;
+      case QueuePush::kDecreased:
+        stats_.decreased++;
+        break;
+      case QueuePush::kUnchanged:
+        break;
     }
   };
 
@@ -102,14 +84,7 @@ void LcProfileQueryT<Queue>::run(StationId s) {
   }
 
   while (!heap_.empty()) {
-    auto [v, key] = heap_.pop();
-    if constexpr (!Queue::kAddressable) {
-      if (!qkey_.touched(v) || qkey_.get(v) != key) {
-        stats_.stale_popped++;
-        continue;
-      }
-      qkey_.set(v, kInfTime);  // claimed: the node is no longer queued
-    }
+    const NodeId v = heap_.pop().first;
     stats_.settled++;
     stats_.label_points += labels_[v].size();
 
@@ -187,15 +162,8 @@ void LcProfileQueryT<Queue>::run(StationId s) {
   }
 }
 
-template <typename Queue>
-const Profile& LcProfileQueryT<Queue>::profile(StationId t) const {
+const Profile& LcProfileQuery::profile(StationId t) const {
   return labels_[g_.station_node(t)];
 }
-
-// The shipped heap policies; the bucket policy is monotone-only and cannot
-// run a label-correcting search (see the static_assert in the header).
-template class LcProfileQueryT<TimeBinaryQueue>;
-template class LcProfileQueryT<TimeQuaternaryQueue>;
-template class LcProfileQueryT<TimeLazyQueue>;
 
 }  // namespace pconn

@@ -20,24 +20,17 @@
 #include "graph/profile.hpp"
 #include "graph/td_graph.hpp"
 #include "timetable/timetable.hpp"
-#include "util/epoch_array.hpp"
 
 namespace pconn {
 
 /// Pointwise minimum of two reduced profiles, as a reduced profile.
 Profile merge_profiles(const Profile& a, const Profile& b, Time period);
 
-/// Template over the scalar-time queue policy. Label-correcting keys are
-/// NOT monotone (a relaxed profile point can yield an arrival below the
-/// key just popped), so monotone bucket queues are rejected at compile
-/// time; heaps — addressable or lazy — are fine. Definitions in
-/// lc_profile.cpp instantiate the shipped heap policies.
-template <typename Queue = TimeBinaryQueue>
-class LcProfileQueryT {
-  static_assert(!Queue::kMonotone,
-                "label-correcting search pushes keys below the last pop; "
-                "monotone queue policies (bucket) cannot run it");
-
+/// Runs on the paper's binary heap. Label-correcting keys are NOT
+/// monotone (a relaxed profile point can yield an arrival below the key
+/// just popped), so the bucket policy cannot serve it; a node is queued at
+/// most once and decrease-key lowers its key when its label improves.
+class LcProfileQuery {
  public:
   /// `ws` (optional) places the queue, the bookkeeping arrays AND the
   /// profile-merge scratch (link/union/reduce buffers) in the workspace's
@@ -46,8 +39,8 @@ class LcProfileQueryT {
   /// grown to its high-water mark a warm LC query performs no heap
   /// allocation — the zero-allocation session guard covers LC like every
   /// other engine (tests/session_test.cpp).
-  LcProfileQueryT(const Timetable& tt, const TdGraph& g,
-                  QueryWorkspace* ws = nullptr);
+  LcProfileQuery(const Timetable& tt, const TdGraph& g,
+                 QueryWorkspace* ws = nullptr);
 
   /// One-to-all profile search from s. Results valid until the next run.
   void run(StationId s);
@@ -70,10 +63,7 @@ class LcProfileQueryT {
 
   const Timetable& tt_;
   const TdGraph& g_;
-  Queue heap_;
-  EpochArray<Time> qkey_;  // non-addressable only: the node's live queued
-                           // key (kInfTime = not queued); older entries in
-                           // the heap are stale
+  TimeBinaryQueue heap_;
   std::vector<Profile> labels_;  // per node; written via assign() only
   // nodes whose label must be cleared
   std::vector<NodeId, ArenaAllocator<NodeId>> touched_;
@@ -85,7 +75,5 @@ class LcProfileQueryT {
   RelaxMode relax_mode_ = default_relax_mode();
   QueryStats stats_;
 };
-
-using LcProfileQuery = LcProfileQueryT<>;
 
 }  // namespace pconn

@@ -126,11 +126,8 @@ std::span<const McLabel> McTimeQueryT<Queue>::pareto(StationId s) const {
   return {f.data(), f.size()};
 }
 
-// The shipped multi-label policies (queue_policy.hpp). McLazyQueue is the
-// same type as McQuaternaryQueue, so two instantiations cover the three
-// heap names.
+// The two shipped multi-label policies (queue_policy.hpp).
 template class McTimeQueryT<McBinaryQueue>;
-template class McTimeQueryT<McQuaternaryQueue>;
 template class McTimeQueryT<McBucketQueue>;
 
 }  // namespace pconn

@@ -311,8 +311,6 @@ void MultiQueryTimeEngineT<Queue>::run(std::span<const BatchQuery> queries) {
 }
 
 template class MultiQueryTimeEngineT<TimeBinaryQueue>;
-template class MultiQueryTimeEngineT<TimeQuaternaryQueue>;
-template class MultiQueryTimeEngineT<TimeLazyQueue>;
 template class MultiQueryTimeEngineT<TimeBucketQueue>;
 
 // ---------------------------------------------------------------------------
@@ -767,8 +765,6 @@ void MultiQueryOverlayTimeEngineT<Queue>::settle_contracted_batch() {
 }
 
 template class MultiQueryOverlayTimeEngineT<TimeBinaryQueue>;
-template class MultiQueryOverlayTimeEngineT<TimeQuaternaryQueue>;
-template class MultiQueryOverlayTimeEngineT<TimeLazyQueue>;
 template class MultiQueryOverlayTimeEngineT<TimeBucketQueue>;
 
 }  // namespace pconn

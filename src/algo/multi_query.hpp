@@ -78,7 +78,7 @@ struct BatchQuery {
 constexpr std::size_t kLaneTile = 16;
 
 /// Flat-graph multi-query engine; definitions in multi_query.cpp
-/// instantiate the four shipped queue policies.
+/// instantiate the two shipped queue policies.
 template <typename Queue = TimeBinaryQueue>
 class MultiQueryTimeEngineT {
  public:

@@ -296,21 +296,17 @@ bool OverlayTimeQueryT<Queue>::extract_journey_into(StationId source,
 }
 
 template class OverlayTimeQueryT<TimeBinaryQueue>;
-template class OverlayTimeQueryT<TimeQuaternaryQueue>;
-template class OverlayTimeQueryT<TimeLazyQueue>;
 template class OverlayTimeQueryT<TimeBucketQueue>;
 
 // ---------------------------------------------------------------------------
-// OverlayLcProfileQueryT
+// OverlayLcProfileQuery
 
-template <typename Queue>
-OverlayLcProfileQueryT<Queue>::OverlayLcProfileQueryT(const Timetable& tt,
-                                                      const OverlayGraph& ov,
-                                                      QueryWorkspace* ws)
+OverlayLcProfileQuery::OverlayLcProfileQuery(const Timetable& tt,
+                                             const OverlayGraph& ov,
+                                             QueryWorkspace* ws)
     : tt_(tt),
       ov_(ov),
       heap_(scratch_alloc(ws)),
-      qkey_(scratch_alloc(ws)),
       fresh_(ArenaAllocator<std::uint8_t>(scratch_alloc(ws))),
       touched_(ArenaAllocator<NodeId>(scratch_alloc(ws))),
       dirty_(ArenaAllocator<std::uint8_t>(scratch_alloc(ws))),
@@ -341,14 +337,10 @@ OverlayLcProfileQueryT<Queue>::OverlayLcProfileQueryT(const Timetable& tt,
   dirty_.assign(ov.num_nodes(), 0);
 }
 
-template <typename Queue>
-void OverlayLcProfileQueryT<Queue>::run(StationId s) {
+void OverlayLcProfileQuery::run(StationId s) {
   stats_ = QueryStats{};
   batch_stats_.reset();
   heap_.clear();
-  if constexpr (!Queue::kAddressable) {
-    qkey_.ensure_and_clear(ov_.num_nodes(), kInfTime);
-  }
   for (NodeId v : touched_) {
     labels_[v].clear();
     pending_[v].clear();
@@ -364,24 +356,15 @@ void OverlayLcProfileQueryT<Queue>::run(StationId s) {
   };
 
   auto enqueue = [&](NodeId v, Time key) {
-    if constexpr (Queue::kAddressable) {
-      switch (heap_.push_or_decrease(v, key)) {
-        case QueuePush::kPushed:
-          stats_.pushed++;
-          break;
-        case QueuePush::kDecreased:
-          stats_.decreased++;
-          break;
-        case QueuePush::kUnchanged:
-          break;
-      }
-    } else {
-      const bool queued = qkey_.touched(v) && qkey_.get(v) != kInfTime;
-      if (!queued || key < qkey_.get(v)) {
-        heap_.push(v, key);
-        qkey_.set(v, key);
+    switch (heap_.push_or_decrease(v, key)) {
+      case QueuePush::kPushed:
         stats_.pushed++;
-      }
+        break;
+      case QueuePush::kDecreased:
+        stats_.decreased++;
+        break;
+      case QueuePush::kUnchanged:
+        break;
     }
   };
 
@@ -404,14 +387,7 @@ void OverlayLcProfileQueryT<Queue>::run(StationId s) {
   }
 
   while (!heap_.empty()) {
-    auto [v, key] = heap_.pop();
-    if constexpr (!Queue::kAddressable) {
-      if (!qkey_.touched(v) || qkey_.get(v) != key) {
-        stats_.stale_popped++;
-        continue;
-      }
-      qkey_.set(v, kInfTime);
-    }
+    const NodeId v = heap_.pop().first;
     stats_.settled++;
 
     // Deferred absorption (see the class comment): fold everything queued
@@ -572,9 +548,5 @@ void OverlayLcProfileQueryT<Queue>::run(StationId s) {
     }
   }
 }
-
-template class OverlayLcProfileQueryT<TimeBinaryQueue>;
-template class OverlayLcProfileQueryT<TimeQuaternaryQueue>;
-template class OverlayLcProfileQueryT<TimeLazyQueue>;
 
 }  // namespace pconn

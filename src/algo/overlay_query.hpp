@@ -1,5 +1,5 @@
 // Core-routed query engines over the contraction overlay
-// (graph/overlay_graph.hpp): ports of TimeQueryT and LcProfileQueryT whose
+// (graph/overlay_graph.hpp): ports of TimeQueryT and LcProfileQuery whose
 // settle loops run on the overlay's station-centric core. Same queue
 // policies, same RelaxMode phasing (algo/relax_batch.hpp), same arena-
 // backed workspace discipline — but since a core station's out-block is a
@@ -12,7 +12,7 @@
 // all stations; settle_contracted() extends them to every flat node with
 // one queue-less rank-descending sweep over the downward CSR (used by the
 // differential tests, which compare ALL nodes byte-for-byte against the
-// flat engine). OverlayLcProfileQueryT's station profiles are canonical
+// flat engine). OverlayLcProfileQuery's station profiles are canonical
 // reduced profiles of the exact travel-time functions, hence byte-
 // identical to the flat LC baseline.
 //
@@ -40,7 +40,7 @@
 namespace pconn {
 
 /// Template over the scalar-time queue policy; definitions in
-/// overlay_query.cpp instantiate the four shipped policies.
+/// overlay_query.cpp instantiate the two shipped policies.
 template <typename Queue = TimeBinaryQueue>
 class OverlayTimeQueryT {
  public:
@@ -121,11 +121,11 @@ class OverlayTimeQueryT {
 using OverlayTimeQuery = OverlayTimeQueryT<>;
 
 /// The label-correcting profile baseline ported onto the overlay core.
-/// Station profiles are byte-identical to the flat LcProfileQueryT (both
+/// Station profiles are byte-identical to the flat LcProfileQuery (both
 /// converge to the canonical reduced representation of the exact function).
-/// Heap policies only, like the flat engine.
+/// Runs on the binary heap, like the flat engine.
 ///
-/// Deliberately a sibling implementation of LcProfileQueryT, not a shared
+/// Deliberately a sibling implementation of LcProfileQuery, not a shared
 /// template over the graph type: the overlay loop carries the source
 /// board-shift through the link kernel and its own engagement accounting,
 /// and templating the flat engine's hot loop for that would perturb
@@ -148,15 +148,10 @@ using OverlayTimeQuery = OverlayTimeQueryT<>;
 /// a settle whose pending points are all dominated changes nothing and
 /// relaxes nothing, and tests/contraction_test.cpp still enforces
 /// byte-identity of every station profile against the flat baseline.
-template <typename Queue = TimeBinaryQueue>
-class OverlayLcProfileQueryT {
-  static_assert(!Queue::kMonotone,
-                "label-correcting search pushes keys below the last pop; "
-                "monotone queue policies (bucket) cannot run it");
-
+class OverlayLcProfileQuery {
  public:
-  OverlayLcProfileQueryT(const Timetable& tt, const OverlayGraph& ov,
-                         QueryWorkspace* ws = nullptr);
+  OverlayLcProfileQuery(const Timetable& tt, const OverlayGraph& ov,
+                        QueryWorkspace* ws = nullptr);
 
   /// One-to-all profile search from s over the core.
   void run(StationId s);
@@ -178,8 +173,7 @@ class OverlayLcProfileQueryT {
 
   const Timetable& tt_;
   const OverlayGraph& ov_;
-  Queue heap_;
-  EpochArray<Time> qkey_;  // non-addressable only (see LcProfileQueryT)
+  TimeBinaryQueue heap_;
   std::vector<Profile> labels_;  // per node; written via assign() only
   // Candidate points queued per node since its last settle (concatenated
   // sorted runs, one per relaxing edge), and whether its label changed
@@ -193,7 +187,5 @@ class OverlayLcProfileQueryT {
   QueryStats stats_;
   BatchStats batch_stats_;
 };
-
-using OverlayLcProfileQuery = OverlayLcProfileQueryT<>;
 
 }  // namespace pconn

@@ -296,11 +296,9 @@ void OverlayParallelSpcsT<Queue>::sweep_partition(std::size_t th) {
   for (std::size_t j = 0; j < W; ++j) stats.relaxed += rcnt[j];
 }
 
-// The four shipped queue policies (queue_policy.hpp), matching the flat
+// The two shipped queue policies (queue_policy.hpp), matching the flat
 // driver's instantiations.
 template class OverlayParallelSpcsT<SpcsBinaryQueue>;
-template class OverlayParallelSpcsT<SpcsQuaternaryQueue>;
-template class OverlayParallelSpcsT<SpcsLazyQueue>;
 template class OverlayParallelSpcsT<SpcsBucketQueue>;
 
 }  // namespace pconn

@@ -58,7 +58,7 @@ namespace pconn {
 /// Template over the queue policy of the per-thread SPCS states; shares
 /// ParallelSpcsOptions and the result structs with the flat driver so the
 /// two engines are drop-in interchangeable. Definitions live in
-/// overlay_spcs.cpp (the four shipped policies are instantiated there).
+/// overlay_spcs.cpp (the two shipped policies are instantiated there).
 template <typename Queue = SpcsBinaryQueue>
 class OverlayParallelSpcsT {
  public:

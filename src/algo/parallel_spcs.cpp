@@ -149,11 +149,9 @@ StationQueryResult ParallelSpcsT<Queue>::station_to_station(StationId s,
   return res;
 }
 
-// The four shipped queue policies (queue_policy.hpp). Other policies would
+// The two shipped queue policies (queue_policy.hpp). Other policies would
 // need their own explicit instantiation here.
 template class ParallelSpcsT<SpcsBinaryQueue>;
-template class ParallelSpcsT<SpcsQuaternaryQueue>;
-template class ParallelSpcsT<SpcsLazyQueue>;
 template class ParallelSpcsT<SpcsBucketQueue>;
 
 }  // namespace pconn

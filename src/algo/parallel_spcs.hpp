@@ -49,7 +49,7 @@ struct StationQueryResult {
 
 /// Template over the queue policy of the per-thread SPCS states
 /// (queue_policy.hpp). Definitions live in parallel_spcs.cpp, which
-/// explicitly instantiates the four shipped policies; `ParallelSpcs` is
+/// explicitly instantiates the two shipped policies; `ParallelSpcs` is
 /// the paper's binary-heap configuration.
 ///
 /// Lifecycle: the driver runs on an SpcsPool (algo/spcs_pool.hpp) — its

@@ -1,19 +1,24 @@
-// The pluggable monotone priority-queue policies of the query engines.
+// The two priority-queue policies of the query engines.
 //
-// Every Dijkstra-style engine (SPCS, the time queries, LC) is a class
-// template over a queue policy; this header names the concrete policies,
-// gives them stable CLI names (`--queue` in the table benches), and
-// provides the runtime-to-compile-time dispatch the benches use. A policy
-// must provide:
+// Every Dijkstra-style engine except label-correcting search (SPCS, the
+// time queries, the multi-query and multi-criteria engines) is a class
+// template over a queue policy; this header names the two shipped
+// policies, gives them stable CLI names (`--queue` in the table benches),
+// and provides the runtime-to-compile-time dispatch the benches and the
+// differential tests use:
+//   binary — the paper's addressable binary heap (Section 5), the
+//            reference every cross-policy differential compares against;
+//   bucket — the monotone bucket queue, the fastest measured policy.
+// docs/queues.md has the measurements behind this choice of two.
+// A policy must provide:
 //   reset_capacity / capacity / size / empty / push / pop / top_key /
 //   top_id / clear,
-// plus the trait constants
-//   kAddressable  — contains/key_of/decrease_key/erase/push_or_decrease
-//                   exist and pops are never stale;
-//   kMonotone     — pushes below the last popped key are forbidden
-//                   (bucket queues; unusable for label-correcting search).
-// Non-addressable policies rely on the engines' settled/label arrays to
-// recognise and drop stale pops (counted in QueryStats::stale_popped).
+// plus the trait constant kAddressable: contains/key_of/decrease_key/
+// erase/push_or_decrease exist and pops are never stale. Non-addressable
+// policies rely on the engines' settled/label arrays to recognise and drop
+// stale pops (counted in QueryStats::stale_popped). The bucket policy also
+// forbids pushes below the last popped key, so it serves monotone
+// searches only.
 #pragma once
 
 #include <cstdint>
@@ -34,15 +39,13 @@ namespace pconn {
 inline constexpr unsigned kSpcsKeyShift = 20;
 
 // --- SPCS policies (64-bit composite keys) -------------------------------
-using SpcsBinaryQueue = DAryHeap<std::uint64_t, 2>;      // the paper's queue
-using SpcsQuaternaryQueue = DAryHeap<std::uint64_t, 4>;  // cache-width arity
-using SpcsLazyQueue = LazyDAryHeap<std::uint64_t, 4>;
+using SpcsBinaryQueue = BinaryHeap<std::uint64_t>;  // the paper's queue
 using SpcsBucketQueue = BucketQueue<std::uint64_t, kSpcsKeyShift, 12>;
 
-// --- scalar-time policies (TimeQuery / TeTimeQuery / LC) -----------------
-using TimeBinaryQueue = DAryHeap<Time, 2>;
-using TimeQuaternaryQueue = DAryHeap<Time, 4>;
-using TimeLazyQueue = LazyDAryHeap<Time, 4>;
+// --- scalar-time policies (time, overlay and multi-query engines) --------
+// The label-correcting engines always run on TimeBinaryQueue: their keys
+// are not monotone, so the bucket policy cannot serve them.
+using TimeBinaryQueue = BinaryHeap<Time>;
 using TimeBucketQueue = BucketQueue<Time, 0, 12>;  // one bucket per second
 
 // --- multi-criteria policies (McTimeQuery) -------------------------------
@@ -53,22 +56,17 @@ using TimeBucketQueue = BucketQueue<Time, 0, 12>;  // one bucket per second
 /// exactly the std::priority_queue the engine used to hard-code.
 inline constexpr unsigned kMcKeyShift = 8;
 using McBinaryQueue = LazyDAryHeap<std::uint64_t, 2>;
-using McQuaternaryQueue = LazyDAryHeap<std::uint64_t, 4>;
-using McLazyQueue = LazyDAryHeap<std::uint64_t, 4>;
 using McBucketQueue = BucketQueue<std::uint64_t, kMcKeyShift, 12>;
 
 /// Runtime policy selector (bench `--queue` flag, differential tests).
-enum class QueueKind { kBinary, kQuaternary, kLazy, kBucket };
+enum class QueueKind { kBinary, kBucket };
 
-inline constexpr QueueKind kAllQueueKinds[] = {
-    QueueKind::kBinary, QueueKind::kQuaternary, QueueKind::kLazy,
-    QueueKind::kBucket};
+inline constexpr QueueKind kAllQueueKinds[] = {QueueKind::kBinary,
+                                               QueueKind::kBucket};
 
 inline const char* queue_kind_name(QueueKind k) {
   switch (k) {
     case QueueKind::kBinary: return "binary";
-    case QueueKind::kQuaternary: return "quaternary";
-    case QueueKind::kLazy: return "lazy";
     case QueueKind::kBucket: return "bucket";
   }
   return "?";
@@ -86,10 +84,6 @@ inline std::optional<QueueKind> parse_queue_kind(std::string_view s) {
 template <typename Fn>
 decltype(auto) with_spcs_queue(QueueKind k, Fn&& fn) {
   switch (k) {
-    case QueueKind::kQuaternary:
-      return fn(std::type_identity<SpcsQuaternaryQueue>{});
-    case QueueKind::kLazy:
-      return fn(std::type_identity<SpcsLazyQueue>{});
     case QueueKind::kBucket:
       return fn(std::type_identity<SpcsBucketQueue>{});
     case QueueKind::kBinary:
@@ -103,10 +97,6 @@ decltype(auto) with_spcs_queue(QueueKind k, Fn&& fn) {
 template <typename Fn>
 decltype(auto) with_time_queue(QueueKind k, Fn&& fn) {
   switch (k) {
-    case QueueKind::kQuaternary:
-      return fn(std::type_identity<TimeQuaternaryQueue>{});
-    case QueueKind::kLazy:
-      return fn(std::type_identity<TimeLazyQueue>{});
     case QueueKind::kBucket:
       return fn(std::type_identity<TimeBucketQueue>{});
     case QueueKind::kBinary:
@@ -115,15 +105,11 @@ decltype(auto) with_time_queue(QueueKind k, Fn&& fn) {
   }
 }
 
-/// Multi-criteria variant of with_spcs_queue: the addressable kinds map to
-/// their lazy multi-label counterparts of the same arity (see above).
+/// Multi-criteria variant of with_spcs_queue: `binary` maps to the lazy
+/// binary heap (see McBinaryQueue above).
 template <typename Fn>
 decltype(auto) with_mc_queue(QueueKind k, Fn&& fn) {
   switch (k) {
-    case QueueKind::kQuaternary:
-      return fn(std::type_identity<McQuaternaryQueue>{});
-    case QueueKind::kLazy:
-      return fn(std::type_identity<McLazyQueue>{});
     case QueueKind::kBucket:
       return fn(std::type_identity<McBucketQueue>{});
     case QueueKind::kBinary:

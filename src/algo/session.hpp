@@ -88,14 +88,13 @@ struct QuerySessionOptions {
 };
 
 /// Template over the queue policies of the engine families it fronts:
-/// SPCS-style profile engines, scalar-time engines, the label-correcting
-/// baseline (heaps only — see LcProfileQueryT) and the multi-criteria
-/// engine (non-addressable only — see McTimeQueryT). Engines and the
-/// policies they can run are instantiated on first use, so a session type
-/// only requires the combinations it actually exercises.
+/// SPCS-style profile engines, scalar-time engines and the multi-criteria
+/// engine (non-addressable only — see McTimeQueryT). The label-correcting
+/// baseline always runs on the binary heap (see LcProfileQuery). Engines
+/// and the policies they can run are instantiated on first use, so a
+/// session type only requires the combinations it actually exercises.
 template <typename SpcsQueue = SpcsBinaryQueue,
           typename TimeQueue = TimeBinaryQueue,
-          typename LcQueue = TimeBinaryQueue,
           typename McQueue = McBinaryQueue>
 class QuerySessionT {
  public:
@@ -164,9 +163,9 @@ class QuerySessionT {
     return *time_;
   }
 
-  LcProfileQueryT<LcQueue>& lc_engine() {
+  LcProfileQuery& lc_engine() {
     if (!lc_) {
-      lc_ = std::make_unique<LcProfileQueryT<LcQueue>>(*tt_, *g_, &ws_);
+      lc_ = std::make_unique<LcProfileQuery>(*tt_, *g_, &ws_);
       lc_->set_relax_mode(opt_.relax);
     }
     return *lc_;
@@ -221,9 +220,9 @@ class QuerySessionT {
     return *ov_spcs_;
   }
 
-  OverlayLcProfileQueryT<LcQueue>& overlay_lc_engine(const OverlayGraph& ov) {
+  OverlayLcProfileQuery& overlay_lc_engine(const OverlayGraph& ov) {
     if (!ov_lc_ || ov_lc_graph_ != &ov) {
-      ov_lc_ = std::make_unique<OverlayLcProfileQueryT<LcQueue>>(*tt_, ov, &ws_);
+      ov_lc_ = std::make_unique<OverlayLcProfileQuery>(*tt_, ov, &ws_);
       ov_lc_->set_relax_mode(opt_.relax);
       ov_lc_graph_ = &ov;
     }
@@ -531,13 +530,13 @@ class QuerySessionT {
 
   std::unique_ptr<ParallelSpcsT<SpcsQueue>> spcs_;
   std::unique_ptr<TimeQueryT<TimeQueue>> time_;
-  std::unique_ptr<LcProfileQueryT<LcQueue>> lc_;
+  std::unique_ptr<LcProfileQuery> lc_;
   std::unique_ptr<McTimeQueryT<McQueue>> mc_;
   std::unique_ptr<TeTimeQueryT<TimeQueue>> te_;
   const TeGraph* te_graph_ = nullptr;
   std::unique_ptr<OverlayTimeQueryT<TimeQueue>> ov_time_;
   const OverlayGraph* ov_time_graph_ = nullptr;
-  std::unique_ptr<OverlayLcProfileQueryT<LcQueue>> ov_lc_;
+  std::unique_ptr<OverlayLcProfileQuery> ov_lc_;
   const OverlayGraph* ov_lc_graph_ = nullptr;
   std::unique_ptr<OverlayParallelSpcsT<SpcsQueue>> ov_spcs_;
   const OverlayGraph* ov_spcs_graph_ = nullptr;
@@ -565,9 +564,8 @@ class QuerySessionT {
 /// The paper's configuration: binary heaps everywhere.
 using QuerySession = QuerySessionT<>;
 /// The fastest measured configuration (docs/queues.md): bucket queues for
-/// the monotone engines, heaps where required.
+/// every templated engine (the label-correcting baseline keeps its heap).
 using FastQuerySession =
-    QuerySessionT<SpcsBucketQueue, TimeBucketQueue, TimeBinaryQueue,
-                  McBucketQueue>;
+    QuerySessionT<SpcsBucketQueue, TimeBucketQueue, McBucketQueue>;
 
 }  // namespace pconn

@@ -15,11 +15,11 @@
 // distance-table rules (Theorems 3/4) plug in through a SettleHook.
 //
 // The priority queue is a compile-time policy (queue_policy.hpp): the
-// paper's binary heap, a 4-ary heap, a lazy-deletion heap, or a two-level
-// monotone bucket queue. Non-addressable policies push one entry per
-// improvement; the settled matrix arr_ already identifies outdated entries
-// at pop time (arr_.touched), so stale pops are dropped without any
-// per-item bookkeeping. All policies settle the same items with the same
+// paper's binary heap or a two-level monotone bucket queue. The
+// non-addressable bucket policy pushes one entry per improvement; the
+// settled matrix arr_ already identifies outdated entries at pop time
+// (arr_.touched), so stale pops are dropped without any per-item
+// bookkeeping. Both policies settle the same items with the same
 // keys and produce identical profiles (tests/queue_policy_test.cpp proves
 // this differentially); only pushed/decreased/stale_popped counts differ.
 #pragma once

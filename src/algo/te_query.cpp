@@ -122,10 +122,8 @@ Time TeTimeQueryT<Queue>::arrival_at(StationId s) const {
   return s < best_arrival_.size() ? best_arrival_.get(s) : kInfTime;
 }
 
-// The four shipped queue policies (queue_policy.hpp).
+// The two shipped queue policies (queue_policy.hpp).
 template class TeTimeQueryT<TimeBinaryQueue>;
-template class TeTimeQueryT<TimeQuaternaryQueue>;
-template class TeTimeQueryT<TimeLazyQueue>;
 template class TeTimeQueryT<TimeBucketQueue>;
 
 }  // namespace pconn

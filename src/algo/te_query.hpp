@@ -15,7 +15,7 @@
 namespace pconn {
 
 /// Template over the scalar-time queue policy (queue_policy.hpp);
-/// definitions in te_query.cpp instantiate the four shipped policies.
+/// definitions in te_query.cpp instantiate the two shipped policies.
 template <typename Queue = TimeBinaryQueue>
 class TeTimeQueryT {
  public:

@@ -139,10 +139,8 @@ NodeId TimeQueryT<Queue>::parent(NodeId v) const {
   return parent_.get(v);
 }
 
-// The four shipped queue policies (queue_policy.hpp).
+// The two shipped queue policies (queue_policy.hpp).
 template class TimeQueryT<TimeBinaryQueue>;
-template class TimeQueryT<TimeQuaternaryQueue>;
-template class TimeQueryT<TimeLazyQueue>;
 template class TimeQueryT<TimeBucketQueue>;
 
 }  // namespace pconn

@@ -24,7 +24,7 @@
 namespace pconn {
 
 /// Template over the scalar-time queue policy (queue_policy.hpp);
-/// definitions in time_query.cpp instantiate the four shipped policies.
+/// definitions in time_query.cpp instantiate the two shipped policies.
 template <typename Queue = TimeBinaryQueue>
 class TimeQueryT {
  public:

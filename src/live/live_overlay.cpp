@@ -6,6 +6,8 @@
 #include <thread>
 #include <utility>
 
+#include "util/backoff.hpp"
+
 namespace pconn {
 
 LiveOverlay::LiveOverlay(Timetable tt, LiveOverlayOptions opt)
@@ -65,23 +67,6 @@ LiveOverlay::LiveOverlay(Timetable tt, OverlayGraph overlay,
 OverlayGraph LiveOverlay::contract(const Timetable& tt,
                                    const TdGraph& g) const {
   return contract_graph(tt, g, opt_.contraction);
-}
-
-double LiveOverlay::next_backoff_ms(double cap) {
-  if (!opt_.backoff_jitter) {
-    const std::uint32_t exp =
-        std::min(failed_attempts_ - 1, opt_.max_backoff_exp);
-    return std::min(cap, opt_.backoff_ms * static_cast<double>(1u << exp));
-  }
-  // Decorrelated jitter: sleep_k = min(cap, uniform(base, 3 * sleep_{k-1})).
-  // First attempt sleeps exactly the base; the expected value then grows
-  // ~1.5x per attempt while successive sleeps decorrelate across feeds.
-  const double base = opt_.backoff_ms;
-  const double hi = std::max(base, 3.0 * prev_backoff_ms_);
-  const double ms =
-      std::min(cap, base + backoff_rng_.next_double() * (hi - base));
-  prev_backoff_ms_ = ms;
-  return ms;
 }
 
 std::vector<StationId> LiveOverlay::all_stations(const Timetable& tt) {
@@ -206,7 +191,8 @@ ApplyResult LiveOverlay::retry() {
   if (failed_attempts_ > 0) {
     const double cap =
         opt_.backoff_ms * static_cast<double>(1u << opt_.max_backoff_exp);
-    const double ms = next_backoff_ms(cap);
+    const double ms = decorrelated_jitter(opt_.backoff_ms, cap,
+                                          prev_backoff_ms_, backoff_rng_);
     last_backoff_ms_ = ms;
     if (opt_.backoff_ms > 0.0 && ms > 0.0) {
       std::this_thread::sleep_for(

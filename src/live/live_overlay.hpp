@@ -73,19 +73,15 @@ struct LiveOverlayOptions {
   OverlayContractionOptions contraction;
   /// Re-link budget: blast-radius cap, deadline, fault hook.
   RelinkOptions relink;
-  /// Base of the exponential retry backoff; retry attempt k targets
-  /// backoff_ms * 2^k before rebuilding. 0 disables sleeping (tests).
+  /// Base of the retry backoff. retry() sleeps before rebuilding under
+  /// decorrelated jitter (util/backoff.hpp): the first retry after a
+  /// failure sleeps backoff_ms, each later one uniform(backoff_ms,
+  /// 3 * previous_sleep), capped at backoff_ms * 2^max_backoff_exp, so
+  /// worker recoveries that degraded on the same event do not retry in
+  /// lockstep. 0 disables sleeping (tests).
   double backoff_ms = 0.0;
-  /// Cap on the backoff exponent (2^10 ~ 1000x base).
+  /// Cap exponent of the backoff (2^10 ~ 1000x base).
   std::uint32_t max_backoff_exp = 10;
-  /// Decorrelated jitter on the backoff (AWS-style): attempt k sleeps
-  /// uniform(backoff_ms, 3 * previous_sleep), capped at
-  /// backoff_ms * 2^max_backoff_exp. Without it, worker recoveries that
-  /// degraded on the same event retry in lockstep and the rebuild storm
-  /// re-arrives intact; jitter decorrelates them while keeping the same
-  /// expected growth. Disable for the deterministic pure-exponential
-  /// schedule.
-  bool backoff_jitter = true;
   /// Seed of the jitter stream — deterministic in tests, so the exact
   /// sleep sequence is reproducible per seed.
   std::uint64_t backoff_seed = 0x9e3779b97f4a7c15ull;
@@ -169,10 +165,6 @@ class LiveOverlay {
   OverlayGraph contract(const Timetable& tt, const TdGraph& g) const;
   void publish(std::shared_ptr<const LiveSnapshot> next);
   static std::vector<StationId> all_stations(const Timetable& tt);
-
-  /// Next backoff target per the decorrelated-jitter recurrence; single-
-  /// writer like retry() itself.
-  double next_backoff_ms(double cap);
 
   LiveOverlayOptions opt_;
   LiveUpdateStats stats_;

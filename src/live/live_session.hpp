@@ -28,11 +28,10 @@ namespace pconn {
 
 template <typename SpcsQueue = SpcsBinaryQueue,
           typename TimeQueue = TimeBinaryQueue,
-          typename LcQueue = TimeBinaryQueue,
           typename McQueue = McBinaryQueue>
 class LiveQuerySessionT {
  public:
-  using Session = QuerySessionT<SpcsQueue, TimeQueue, LcQueue, McQueue>;
+  using Session = QuerySessionT<SpcsQueue, TimeQueue, McQueue>;
 
   explicit LiveQuerySessionT(const LiveOverlay& live,
                              QuerySessionOptions opt = {})

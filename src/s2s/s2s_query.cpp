@@ -236,10 +236,8 @@ StationQueryResult S2sQueryEngineT<Queue>::query(StationId s, StationId t) {
   return res;
 }
 
-// The four shipped queue policies (queue_policy.hpp).
+// The two shipped queue policies (queue_policy.hpp).
 template class S2sQueryEngineT<SpcsBinaryQueue>;
-template class S2sQueryEngineT<SpcsQuaternaryQueue>;
-template class S2sQueryEngineT<SpcsLazyQueue>;
 template class S2sQueryEngineT<SpcsBucketQueue>;
 
 }  // namespace pconn

@@ -28,7 +28,7 @@ struct S2sOptions {
 };
 
 /// Template over the SPCS queue policy (queue_policy.hpp); definitions in
-/// s2s_query.cpp instantiate the four shipped policies. `S2sQueryEngine`
+/// s2s_query.cpp instantiate the two shipped policies. `S2sQueryEngine`
 /// is the paper's binary-heap configuration.
 ///
 /// All per-query scratch — the per-thread pruning hooks with their mu/gamma

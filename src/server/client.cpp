@@ -14,6 +14,8 @@
 #include <stdexcept>
 #include <thread>
 
+#include "util/backoff.hpp"
+
 namespace pconn {
 
 const char* client_error_name(ClientError e) {
@@ -268,15 +270,11 @@ bool RetryingClient::ensure_connected() {
 }
 
 void RetryingClient::backoff_sleep() {
-  // Decorrelated jitter, same recurrence as LiveOverlay::next_backoff_ms
-  // and the supervisor's restart scheduler: clients that all lost the
-  // same shard must not re-arrive in lockstep.
-  const double base = policy_.backoff_ms;
-  if (base <= 0.0) return;
-  const double hi = std::max(base, 3.0 * prev_backoff_ms_);
-  const double ms = std::min(policy_.backoff_cap_ms,
-                             base + rng_.next_double() * (hi - base));
-  prev_backoff_ms_ = ms;
+  // Decorrelated jitter (util/backoff.hpp): clients that all lost the same
+  // shard must not re-arrive in lockstep.
+  if (policy_.backoff_ms <= 0.0) return;
+  const double ms = decorrelated_jitter(
+      policy_.backoff_ms, policy_.backoff_cap_ms, prev_backoff_ms_, rng_);
   std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
 }
 

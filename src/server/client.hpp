@@ -99,8 +99,8 @@ class BlockingClient {
 };
 
 /// Bounded-retry policy of RetryingClient. Backoff between reconnects is
-/// the same decorrelated-jitter recurrence the live-update retry path and
-/// the supervisor's restart scheduler use:
+/// the decorrelated-jitter recurrence of util/backoff.hpp, shared with the
+/// live-update retry path and the supervisor's restart scheduler:
 /// sleep_k = min(cap, uniform(base, 3 * sleep_{k-1})).
 struct RetryPolicy {
   std::uint32_t max_attempts = 5;    // per call, first try included

@@ -17,6 +17,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "util/backoff.hpp"
+
 extern char** environ;
 
 namespace pconn {
@@ -243,17 +245,6 @@ bool ShardSupervisor::spawn_shard(unsigned idx) {
   return true;
 }
 
-double ShardSupervisor::next_backoff_ms(Shard& s) {
-  // Decorrelated jitter — the recurrence LiveOverlay::retry() and
-  // RetryingClient use: sleep_k = min(cap, uniform(base, 3 * sleep_{k-1})).
-  const double base = std::max(1.0, opt_.restart_backoff_ms);
-  const double hi = std::max(base, 3.0 * s.prev_backoff_ms);
-  const double ms = std::min(opt_.restart_backoff_cap_ms,
-                             base + rng_.next_double() * (hi - base));
-  s.prev_backoff_ms = ms;
-  return ms;
-}
-
 void ShardSupervisor::reap_shard(unsigned idx, int status,
                                  Clock::time_point now) {
   Shard& s = shards_[idx];
@@ -322,7 +313,9 @@ void ShardSupervisor::reap_shard(unsigned idx, int status,
     return;
   }
 
-  const double backoff = next_backoff_ms(s);
+  const double backoff =
+      decorrelated_jitter(std::max(1.0, opt_.restart_backoff_ms),
+                          opt_.restart_backoff_cap_ms, s.prev_backoff_ms, rng_);
   s.state = ShardState::kBackoff;
   s.restart_at = now + std::chrono::duration_cast<Clock::duration>(
                            std::chrono::duration<double, std::milli>(backoff));

@@ -21,8 +21,8 @@
 //   hang         a live process that stops beating (SIGSTOP, livelock)
 //                is SIGKILLed after heartbeat_timeout_ms and restarted —
 //                a hung shard holds sockets hostage, a dead one does not;
-//   restart      under capped decorrelated-jitter backoff, the same
-//                recurrence as LiveOverlay::retry():
+//   restart      under capped decorrelated-jitter backoff
+//                (util/backoff.hpp, shared with LiveOverlay::retry()):
 //                sleep_k = min(cap, uniform(base, 3 * sleep_{k-1}));
 //   crash loop   K deaths within W ms => hold down (no restart) for
 //                hold_down_ms, logged; the held shard's listener is
@@ -193,7 +193,6 @@ class ShardSupervisor {
   bool spawn_shard(unsigned idx);          // caller holds mutex_
   void reap_shard(unsigned idx, int status, Clock::time_point now);
   int make_listener() const;               // bound + listening, fd >= 10
-  double next_backoff_ms(Shard& s);
   void logf(const char* fmt, ...) const;
 
   SupervisorOptions opt_;

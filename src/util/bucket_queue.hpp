@@ -53,11 +53,10 @@ class BucketQueue {
 
  public:
   using Id = std::uint32_t;
-  /// Queue-policy traits (see docs/queues.md).
+  /// Queue-policy trait (see docs/queues.md). Pushes below the last
+  /// popped key's bucket are undefined behaviour (asserted in debug
+  /// builds) — monotone searches only.
   static constexpr bool kAddressable = false;
-  /// Pushes below the last popped key's bucket are undefined behaviour
-  /// (asserted in debug builds) — monotone searches only.
-  static constexpr bool kMonotone = true;
   static constexpr std::size_t kNumBuckets = std::size_t{1} << BucketBits;
 
   BucketQueue() : BucketQueue(ScratchAlloc()) {}

@@ -1,10 +1,12 @@
-// Addressable d-ary min-heap with decrease-key.
+// Addressable binary min-heap with decrease-key.
 //
 // The paper's query algorithms are Dijkstra variants run with a binary heap
 // ("As priority queue we use a binary heap", Section 5). Heap items are
 // identified by a dense external id in [0, capacity); the heap keeps a
-// position map so decrease_key / contains are O(1) lookups. The arity is a
-// template parameter so the bench suite can compare binary vs 4-ary layouts.
+// position map so decrease_key / contains are O(1) lookups. This is the
+// `binary` queue policy (algo/queue_policy.hpp); the non-addressable
+// LazyDAryHeap (util/lazy_heap.hpp) serves the multi-label and
+// contraction-ordering queues that hold several entries per id.
 #pragma once
 
 #include <cassert>
@@ -20,26 +22,23 @@ namespace pconn {
 /// the search loops keep exact pushed/decreased counters from one call.
 enum class QueuePush { kUnchanged = 0, kPushed, kDecreased };
 
-template <typename Key, unsigned Arity = 2>
-class DAryHeap {
-  static_assert(Arity >= 2, "heap arity must be at least 2");
-
+template <typename Key>
+class BinaryHeap {
  public:
   using Id = std::uint32_t;
   /// Queue-policy traits (see docs/queues.md): addressable queues support
   /// contains/key_of/decrease_key/erase and never produce stale pops.
   static constexpr bool kAddressable = true;
-  static constexpr bool kMonotone = false;
   static constexpr std::uint32_t kInvalidPos =
       std::numeric_limits<std::uint32_t>::max();
 
-  DAryHeap() = default;
+  BinaryHeap() = default;
   /// Places the position map and the slot array in `alloc`'s arena
   /// (workspace-backed engines); unbound allocs behave like the default.
-  explicit DAryHeap(ScratchAlloc alloc)
+  explicit BinaryHeap(ScratchAlloc alloc)
       : pos_(ArenaAllocator<std::uint32_t>(alloc)),
         slots_(ArenaAllocator<Slot>(alloc)) {}
-  explicit DAryHeap(std::size_t capacity) { reset_capacity(capacity); }
+  explicit BinaryHeap(std::size_t capacity) { reset_capacity(capacity); }
 
   /// Grows the id space to at least `capacity` (amortized doubling, so a
   /// query sequence with creeping widths does not pay O(capacity) per
@@ -131,6 +130,8 @@ class DAryHeap {
   }
 
  private:
+  static constexpr unsigned kArity = 2;
+
   struct Slot {
     Key key;
     Id id;
@@ -150,7 +151,7 @@ class DAryHeap {
     }
   }
 
-  static std::uint32_t parent(std::uint32_t i) { return (i - 1) / Arity; }
+  static std::uint32_t parent(std::uint32_t i) { return (i - 1) / kArity; }
 
   void sift_up(std::size_t i) {
     Slot moving = slots_[i];
@@ -169,9 +170,9 @@ class DAryHeap {
     Slot moving = slots_[i];
     const std::size_t n = slots_.size();
     while (true) {
-      std::size_t first = i * Arity + 1;
+      std::size_t first = i * kArity + 1;
       if (first >= n) break;
-      std::size_t last = std::min(first + Arity, n);
+      std::size_t last = std::min(first + kArity, n);
       std::size_t best = first;
       for (std::size_t c = first + 1; c < last; ++c) {
         if (slots_[c].key < slots_[best].key) best = c;
@@ -189,10 +190,5 @@ class DAryHeap {
   std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> pos_;
   std::vector<Slot, ArenaAllocator<Slot>> slots_;
 };
-
-template <typename Key>
-using BinaryHeap = DAryHeap<Key, 2>;
-template <typename Key>
-using QuaternaryHeap = DAryHeap<Key, 4>;
 
 }  // namespace pconn

@@ -1,13 +1,12 @@
 // Lazy-deletion d-ary min-heap: no position map, no decrease-key.
 //
-// The addressable DAryHeap pays for decrease-key twice: a pos_ map of one
-// word per id (the SPCS id space is |V| x |conn(S)| slots, so the map alone
-// dominates the queue's footprint) and a pos_ update on every slot move
-// during sift chains. When the caller can recognise stale entries at pop
-// time — SPCS and the time queries all can, via their settled/label arrays —
-// it is cheaper to push a fresh entry per improvement and discard outdated
-// pops. This is the classical "Dijkstra without decrease-key" trade
-// measured by bench_heap; docs/queues.md discusses when it wins.
+// The addressable BinaryHeap holds one key per id. The multi-criteria
+// search (McTimeQuery, whose McBinaryQueue is this heap at arity 2) keeps
+// several live labels per node, so it needs a queue that holds
+// duplicates; the contraction's witness searches and node ordering (both
+// arity 4) use it to skip the position map. The caller pushes a fresh
+// entry per update and recognises outdated entries at pop time — the
+// classical "Dijkstra without decrease-key".
 //
 // The queue itself never detects staleness: callers filter pops (and count
 // them in QueryStats::stale_popped).
@@ -30,9 +29,6 @@ class LazyDAryHeap {
   /// Queue-policy traits (see docs/queues.md): no per-id addressing —
   /// contains/key_of/decrease_key/erase are not provided.
   static constexpr bool kAddressable = false;
-  /// Accepts pushes below the last popped key (usable by label-correcting
-  /// searches, unlike the BucketQueue).
-  static constexpr bool kMonotone = false;
 
   LazyDAryHeap() = default;
   /// Places the slot array in `alloc`'s arena (workspace-backed engines).
@@ -41,7 +37,7 @@ class LazyDAryHeap {
   explicit LazyDAryHeap(std::size_t capacity) { reset_capacity(capacity); }
 
   /// Id-space bookkeeping only: lazy heaps hold duplicates, so no per-id
-  /// state exists to size. Clears the heap (same contract as DAryHeap).
+  /// state exists to size. Clears the heap (same contract as BinaryHeap).
   void reset_capacity(std::size_t capacity) {
     capacity_ = capacity;
     slots_.clear();

@@ -1,8 +1,9 @@
 // Differential tests for the batched gather -> eval -> commit relaxation
 // (algo/relax_batch.hpp): for EVERY engine and EVERY applicable queue
-// policy, the batch modes must produce byte-identical results AND
-// byte-identical work accounting (settled, pushed, decreased, stale pops,
-// relaxed, pruning counters) to the interleaved seed loop.
+// policy (binary and bucket; LC runs on the binary heap only), the batch
+// modes must produce byte-identical results AND byte-identical work
+// accounting (settled, pushed, decreased, stale pops, relaxed, pruning
+// counters) to the interleaved seed loop.
 //
 // Both batch flavours are exercised: kBatch (the shipped adaptive mode,
 // phased only where the TTF fan-out clears kBatchRelaxMinEdges) and
@@ -12,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "algo/lc_profile.hpp"
@@ -247,16 +247,8 @@ TEST(BatchRelax, TimeQueryEveryPolicy) {
   Timetable tt = test::small_city(34);
   TdGraph g = TdGraph::build(tt);
   for (QueueKind qk : kAllQueueKinds) {
-    with_spcs_queue(qk, [&](auto tag) {
-      // Map the SPCS policy selection onto the scalar-time policies.
-      using SpcsQ = typename decltype(tag)::type;
-      using Queue = std::conditional_t<
-          std::is_same_v<SpcsQ, SpcsBucketQueue>, TimeBucketQueue,
-          std::conditional_t<std::is_same_v<SpcsQ, SpcsLazyQueue>,
-                             TimeLazyQueue,
-                             std::conditional_t<
-                                 std::is_same_v<SpcsQ, SpcsQuaternaryQueue>,
-                                 TimeQuaternaryQueue, TimeBinaryQueue>>>;
+    with_time_queue(qk, [&](auto tag) {
+      using Queue = typename decltype(tag)::type;
       TimeQueryT<Queue> inter(tt, g), batch(tt, g);
       inter.set_relax_mode(RelaxMode::kInterleaved);
       for (RelaxMode m : kBatchModes) {
@@ -292,15 +284,8 @@ TEST(BatchRelax, TeQueryEveryPolicy) {
   Timetable tt = test::small_city(35);
   TeGraph te = TeGraph::build(tt);
   for (QueueKind qk : kAllQueueKinds) {
-    with_spcs_queue(qk, [&](auto tag) {
-      using SpcsQ = typename decltype(tag)::type;
-      using Queue = std::conditional_t<
-          std::is_same_v<SpcsQ, SpcsBucketQueue>, TimeBucketQueue,
-          std::conditional_t<std::is_same_v<SpcsQ, SpcsLazyQueue>,
-                             TimeLazyQueue,
-                             std::conditional_t<
-                                 std::is_same_v<SpcsQ, SpcsQuaternaryQueue>,
-                                 TimeQuaternaryQueue, TimeBinaryQueue>>>;
+    with_time_queue(qk, [&](auto tag) {
+      using Queue = typename decltype(tag)::type;
       TeTimeQueryT<Queue> inter(te), batch(te);
       inter.set_relax_mode(RelaxMode::kInterleaved);
       for (RelaxMode m : kBatchModes) {
@@ -360,35 +345,26 @@ TEST(BatchRelax, McQueryEveryPolicy) {
 
 // ----------------------------------------------------------------- LC ---
 
-TEST(BatchRelax, LcEveryHeapPolicy) {
-  Rng rng(65);
+TEST(BatchRelax, LcBinaryHeap) {
   for (int net = 0; net < 2; ++net) {
     Timetable tt =
         net == 0 ? test::small_city(37) : test::small_railway(38);
     TdGraph g = TdGraph::build(tt);
-    auto run_policy = [&](auto tag) {
-      using Queue = typename decltype(tag)::type;
-      LcProfileQueryT<Queue> inter(tt, g), batch(tt, g);
-      inter.set_relax_mode(RelaxMode::kInterleaved);
-      for (RelaxMode m : kBatchModes) {
-        batch.set_relax_mode(m);
-        for (StationId s = 0; s < tt.num_stations(); s += 4) {
-          inter.run(s);
-          batch.run(s);
-          const std::string what =
-              std::string("lc/") + relax_mode_name(m) + " src " +
-              std::to_string(s);
-          expect_stats_eq(inter.stats(), batch.stats(), what);
-          for (StationId v = 0; v < tt.num_stations(); ++v) {
-            EXPECT_EQ(inter.profile(v), batch.profile(v))
-                << what << " @" << v;
-          }
+    LcProfileQuery inter(tt, g), batch(tt, g);
+    inter.set_relax_mode(RelaxMode::kInterleaved);
+    for (RelaxMode m : kBatchModes) {
+      batch.set_relax_mode(m);
+      for (StationId s = 0; s < tt.num_stations(); s += 4) {
+        inter.run(s);
+        batch.run(s);
+        const std::string what = std::string("lc/") + relax_mode_name(m) +
+                                 " src " + std::to_string(s);
+        expect_stats_eq(inter.stats(), batch.stats(), what);
+        for (StationId v = 0; v < tt.num_stations(); ++v) {
+          EXPECT_EQ(inter.profile(v), batch.profile(v)) << what << " @" << v;
         }
       }
-    };
-    run_policy(std::type_identity<TimeBinaryQueue>{});
-    run_policy(std::type_identity<TimeQuaternaryQueue>{});
-    run_policy(std::type_identity<TimeLazyQueue>{});
+    }
   }
 }
 

@@ -135,12 +135,11 @@ void expect_time_identity(const Timetable& tt, const TdGraph& g,
   }
 }
 
-template <typename Queue>
 void expect_lc_identity(const Timetable& tt, const TdGraph& g,
                         const OverlayGraph& ov, RelaxMode mode,
                         std::uint64_t seed, int queries) {
-  LcProfileQueryT<Queue> flat(tt, g);
-  OverlayLcProfileQueryT<Queue> over(tt, ov);
+  LcProfileQuery flat(tt, g);
+  OverlayLcProfileQuery over(tt, ov);
   flat.set_relax_mode(mode);
   over.set_relax_mode(mode);
   Rng rng(seed);
@@ -177,18 +176,11 @@ void expect_overlay_identity(const Timetable& tt, const OverlayContractionOption
   for (const RelaxMode mode :
        {RelaxMode::kInterleaved, RelaxMode::kBatch, RelaxMode::kBatchAlways}) {
     expect_time_identity<TimeBinaryQueue>(tt, g, ov, mode, seed, 3);
-    expect_lc_identity<TimeBinaryQueue>(tt, g, ov, mode, seed + 1, 2);
+    expect_lc_identity(tt, g, ov, mode, seed + 1, 2);
   }
-  // Remaining queue policies on the default mode.
-  expect_time_identity<TimeQuaternaryQueue>(tt, g, ov, RelaxMode::kBatch,
-                                            seed + 2, 2);
-  expect_time_identity<TimeLazyQueue>(tt, g, ov, RelaxMode::kBatch, seed + 3,
-                                      2);
+  // The bucket policy on the default mode.
   expect_time_identity<TimeBucketQueue>(tt, g, ov, RelaxMode::kBatch, seed + 4,
                                         2);
-  expect_lc_identity<TimeQuaternaryQueue>(tt, g, ov, RelaxMode::kBatch,
-                                          seed + 5, 2);
-  expect_lc_identity<TimeLazyQueue>(tt, g, ov, RelaxMode::kBatch, seed + 6, 2);
 }
 
 TEST(ContractionOverlay, TinyLineIdentity) {

@@ -15,12 +15,10 @@
 //    site;
 //  * LiveQuerySession — overlay-routed vs degraded flat serving agree,
 //    and warm queries stay allocation-free across an epoch transition
-//    (global operator new/delete counters — this TU owns them).
+//    (global operator new/delete counters from alloc_guard.hpp — this TU
+//    owns them).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <thread>
 #include <vector>
 
@@ -28,52 +26,16 @@
 #include "algo/lc_profile.hpp"
 #include "algo/overlay_query.hpp"
 #include "algo/time_query.hpp"
+#include "alloc_guard.hpp"
 #include "live/delay_feed.hpp"
 #include "live/live_overlay.hpp"
 #include "live/live_session.hpp"
 #include "test_util.hpp"
 
-// ------------------------------------------------- allocation counters ---
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new(std::size_t size, std::align_val_t al) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t align = static_cast<std::size_t>(al);
-  const std::size_t rounded = (size + align - 1) / align * align;
-  if (void* p = std::aligned_alloc(align, rounded)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t al) {
-  return ::operator new(size, al);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 namespace pconn {
 namespace {
 
-std::uint64_t alloc_count() {
-  return g_allocs.load(std::memory_order_relaxed);
-}
+using test::alloc_count;
 
 // Live overlays always contract witness-free (re-link exactness).
 OverlayContractionOptions live_opts(std::uint32_t threads = 1) {
@@ -157,12 +119,11 @@ void expect_time_identity(const Timetable& tt, const TdGraph& g,
   }
 }
 
-template <typename Queue>
 void expect_lc_identity(const Timetable& tt, const TdGraph& g,
                         const OverlayGraph& ov, std::uint64_t seed,
                         int queries) {
-  LcProfileQueryT<Queue> flat(tt, g);
-  OverlayLcProfileQueryT<Queue> over(tt, ov);
+  LcProfileQuery flat(tt, g);
+  OverlayLcProfileQuery over(tt, ov);
   Rng rng(seed);
   for (int i = 0; i < queries; ++i) {
     const StationId s =
@@ -202,9 +163,7 @@ void expect_relink(const Timetable& tt_old, const DelayEvent& ev,
 
   expect_time_identity<TimeBinaryQueue>(tt_new, g_new, r.overlay, seed, 3);
   expect_time_identity<TimeBucketQueue>(tt_new, g_new, r.overlay, seed + 1, 2);
-  expect_lc_identity<TimeBinaryQueue>(tt_new, g_new, r.overlay, seed + 2, 2);
-  expect_lc_identity<TimeQuaternaryQueue>(tt_new, g_new, r.overlay, seed + 3,
-                                          2);
+  expect_lc_identity(tt_new, g_new, r.overlay, seed + 2, 4);
 }
 
 // ------------------------------------------------------------- re-link ---
@@ -568,21 +527,6 @@ TEST(LiveOverlay, RetryBackoffUsesDecorrelatedJitter) {
   }
 }
 
-TEST(LiveOverlay, RetryBackoffPureExponentialWhenJitterDisabled) {
-  LiveOverlayOptions opt;
-  opt.backoff_ms = 0.001;
-  opt.max_backoff_exp = 3;
-  opt.backoff_jitter = false;
-  std::vector<double> seq = failing_backoff_sequence(opt, 6);
-  // base * 2^min(k, max_exp): 1, 2, 4, 8, 8, 8 (in base units).
-  const std::vector<double> expect = {0.001, 0.002, 0.004,
-                                      0.008, 0.008, 0.008};
-  ASSERT_EQ(seq.size(), expect.size());
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    EXPECT_DOUBLE_EQ(seq[i], expect[i]) << "attempt " << i;
-  }
-}
-
 TEST(LiveOverlay, EventStreamKeepsServingExactly) {
   // A stream mixing every event kind; after each publication the live
   // session must agree with a from-scratch oracle on the same timetable.
@@ -625,8 +569,7 @@ TEST(LiveOverlay, EventStreamKeepsServingExactly) {
 TEST(LiveSession, WarmQueriesStayAllocationFreeAcrossEpochs) {
   LiveOverlay live(test::small_city(45));
   using FastLiveSession =
-      LiveQuerySessionT<SpcsBucketQueue, TimeBucketQueue, TimeBinaryQueue,
-                        McBucketQueue>;
+      LiveQuerySessionT<SpcsBucketQueue, TimeBucketQueue, McBucketQueue>;
   QuerySessionOptions sopt;
   sopt.threads = 2;
   FastLiveSession reader(live, sopt);

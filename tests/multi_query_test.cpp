@@ -6,12 +6,9 @@
 // every RelaxMode, K in {1, 4, 32}, on the flat graph AND the contraction
 // overlay. Plus the workspace guarantee: a warm run_batch() of the same
 // batch shape performs zero heap allocations (this TU replaces the global
-// operator new/delete with counters, like tests/session_test.cpp).
+// operator new/delete with the counters of alloc_guard.hpp).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -20,59 +17,14 @@
 #include "algo/overlay_query.hpp"
 #include "algo/session.hpp"
 #include "algo/time_query.hpp"
+#include "alloc_guard.hpp"
 #include "test_util.hpp"
 #include "util/rng.hpp"
-
-// ---------------------------------------------------------------------------
-// Global allocation counters (see tests/session_test.cpp for the pattern).
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocs{0};
-
-void* counted_alloc(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* counted_aligned_alloc(std::size_t size, std::align_val_t al) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const auto align = static_cast<std::size_t>(al);
-  const std::size_t rounded = (size + align - 1) / align * align;
-  if (void* p = std::aligned_alloc(align, rounded)) return p;
-  throw std::bad_alloc();
-}
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void* operator new(std::size_t size, std::align_val_t al) {
-  return counted_aligned_alloc(size, al);
-}
-void* operator new[](std::size_t size, std::align_val_t al) {
-  return counted_aligned_alloc(size, al);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace pconn {
 namespace {
 
-std::uint64_t alloc_count() {
-  return g_allocs.load(std::memory_order_relaxed);
-}
+using test::alloc_count;
 
 constexpr RelaxMode kAllModes[] = {RelaxMode::kInterleaved, RelaxMode::kBatch,
                                    RelaxMode::kBatchAlways};

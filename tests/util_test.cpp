@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
-#include <queue>
+#include <limits>
 #include <sstream>
 
+#include "util/backoff.hpp"
 #include "util/csv.hpp"
 #include "util/epoch_array.hpp"
 #include "util/format.hpp"
 #include "util/heap.hpp"
+#include "util/lazy_heap.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
@@ -65,13 +67,9 @@ TEST(Heap, ClearResetsMembership) {
   EXPECT_EQ(h.top_key(), 9);
 }
 
-template <unsigned Arity>
-void randomized_against_std(std::uint64_t seed) {
-  Rng rng(seed);
-  DAryHeap<std::uint64_t, Arity> h(512);
-  std::priority_queue<std::uint64_t, std::vector<std::uint64_t>,
-                      std::greater<>>
-      ref;
+TEST(Heap, RandomizedBinary) {
+  Rng rng(42);
+  BinaryHeap<std::uint64_t> h(512);
   std::vector<bool> in(512, false);
   std::vector<std::uint64_t> key(512);
   for (int step = 0; step < 20000; ++step) {
@@ -84,7 +82,7 @@ void randomized_against_std(std::uint64_t seed) {
       key[id] = rng.next_below(key[id] + 1);
       h.decrease_key(id, key[id]);
     } else if (!h.empty()) {
-      // Rebuild reference lazily: pop min and compare against brute force.
+      // Pop the min and compare against brute force.
       std::uint64_t expect = std::numeric_limits<std::uint64_t>::max();
       for (std::uint32_t i = 0; i < 512; ++i) {
         if (in[i]) expect = std::min(expect, key[i]);
@@ -96,8 +94,98 @@ void randomized_against_std(std::uint64_t seed) {
   }
 }
 
-TEST(Heap, RandomizedBinary) { randomized_against_std<2>(42); }
-TEST(Heap, RandomizedQuaternary) { randomized_against_std<4>(43); }
+// The lazy heap has no decrease-key: an improvement pushes a second entry
+// for the id, and the caller drops the outdated one when it pops — the
+// protocol of McTimeQuery and the contraction's witness searches and node
+// ordering.
+template <unsigned Arity>
+void lazy_randomized_against_brute_force(std::uint64_t seed) {
+  constexpr std::uint32_t kIds = 512;
+  Rng rng(seed);
+  LazyDAryHeap<std::uint64_t, Arity> h(kIds);
+  std::vector<bool> in(kIds, false);
+  std::vector<std::uint64_t> key(kIds);
+  auto brute_min = [&] {
+    std::uint64_t m = std::numeric_limits<std::uint64_t>::max();
+    for (std::uint32_t i = 0; i < kIds; ++i) {
+      if (in[i]) m = std::min(m, key[i]);
+    }
+    return m;
+  };
+  // Pops until a live entry comes out; returns its key (max if drained).
+  std::uint64_t stale = 0;
+  auto pop_live = [&] {
+    while (!h.empty()) {
+      auto [pid, pkey] = h.pop();
+      if (!in[pid] || key[pid] != pkey) {
+        ++stale;
+        continue;
+      }
+      in[pid] = false;
+      return pkey;
+    }
+    return std::numeric_limits<std::uint64_t>::max();
+  };
+  for (int step = 0; step < 20000; ++step) {
+    std::uint32_t id = static_cast<std::uint32_t>(rng.next_below(kIds));
+    if (!in[id]) {
+      key[id] = rng.next_below(1000000);
+      h.push(id, key[id]);
+      in[id] = true;
+    } else if (rng.next_bool(0.5) && key[id] > 0) {
+      key[id] = rng.next_below(key[id]);  // strictly lower: old entry stale
+      h.push(id, key[id]);
+    } else {
+      const std::uint64_t expect = brute_min();
+      ASSERT_EQ(pop_live(), expect) << "arity " << Arity << " step " << step;
+    }
+  }
+  // Drain: live keys come out ascending, every queued id exactly once.
+  for (std::uint64_t expect = brute_min();
+       expect != std::numeric_limits<std::uint64_t>::max();
+       expect = brute_min()) {
+    ASSERT_EQ(pop_live(), expect) << "arity " << Arity << " drain";
+  }
+  while (!h.empty()) {
+    EXPECT_FALSE(in[h.pop().first]);
+    ++stale;
+  }
+  EXPECT_GT(stale, 0u) << "the workload never exercised a stale pop";
+}
+
+TEST(LazyHeap, RandomizedBinaryArity) {
+  lazy_randomized_against_brute_force<2>(43);
+}
+TEST(LazyHeap, RandomizedQuadArity) {
+  lazy_randomized_against_brute_force<4>(44);
+}
+
+TEST(Backoff, DecorrelatedJitterEnvelope) {
+  constexpr double kBase = 5.0;
+  constexpr double kCap = 200.0;
+  auto sequence = [&](std::uint64_t seed) {
+    Rng rng(seed);
+    double prev = 0.0;
+    std::vector<double> seq;
+    for (int k = 0; k < 12; ++k) {
+      seq.push_back(decorrelated_jitter(kBase, kCap, prev, rng));
+    }
+    return seq;
+  };
+  const std::vector<double> a = sequence(7);
+  EXPECT_EQ(a, sequence(7)) << "not deterministic per seed";
+  EXPECT_NE(a, sequence(8)) << "seeds do not decorrelate";
+  EXPECT_EQ(a.front(), kBase);
+  double prev = 0.0;
+  for (double ms : a) {
+    EXPECT_GE(ms, kBase);
+    EXPECT_LE(ms, kCap);
+    if (prev > 0.0) {
+      EXPECT_LE(ms, 3.0 * prev);
+    }
+    prev = ms;
+  }
+}
 
 TEST(EpochArray, DefaultsAndClear) {
   EpochArray<int> a(4, -1);
