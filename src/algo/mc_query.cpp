@@ -69,8 +69,7 @@ void McTimeQueryT<Queue>::run(StationId source, Time departure,
     const bool from_station = g_.is_station_node(node);
 
     if (relax_.mode != RelaxMode::kInterleaved &&
-        (relax_.mode == RelaxMode::kBatchAlways ||
-         g_.ttf_out_degree(node) >= relax_.batch_min_edges)) {
+        g_.ttf_out_degree(node) >= relax_.batch_min_edges) {
       batch_.clear();
       for (std::uint32_t ei = eb; ei < ee; ++ei) {
         if (ei + 1 < ee) min_boards_.prefetch(heads[ei + 1]);

@@ -144,8 +144,7 @@ void OverlayTimeQueryT<Queue>::run(StationId source, Time departure,
     // dist bound re-tested. On the overlay core the TTF fan-out is the
     // node's shortcut fan — this is where the batch kernels saturate.
     if (relax_.mode != RelaxMode::kInterleaved &&
-        (relax_.mode == RelaxMode::kBatchAlways ||
-         ov_.ttf_out_degree(v) >= relax_.batch_min_edges)) {
+        ov_.ttf_out_degree(v) >= relax_.batch_min_edges) {
       batch_.clear();
       for (std::uint32_t ei = eb; ei < ee; ++ei) {
         if (ei + 1 < ee) dist_.prefetch(heads[ei + 1]);

@@ -62,6 +62,9 @@ class OverlayTimeQueryT {
 
   Time arrival_at(StationId s) const { return dist_.get(ov_.station_node(s)); }
   Time arrival_at_node(NodeId v) const { return dist_.get(v); }
+  /// The label array itself (kInfTime where unreached): the multi-query
+  /// down-sweep transposes it straight from the raw epoch/value views.
+  const EpochArray<Time>& labels() const { return dist_; }
   /// Predecessor node / overlay edge of the last relax that set v's label
   /// (the multi-query differential tests compare these lane by lane).
   NodeId parent(NodeId v) const { return parent_.get(v); }
@@ -85,10 +88,12 @@ class OverlayTimeQueryT {
   void set_relax_options(RelaxOptions r) { relax_ = r; }
   const RelaxOptions& relax_options() const { return relax_; }
 
- private:
-  /// Arrival via an overlay word entered at `t`, undoing the folded board
-  /// cost when the tail is the query source (see header note).
+  /// Arrival via an overlay word entered at `t` from the last run's source
+  /// station: free first boarding, folded board cost undone (see header
+  /// note).
   Time source_arrival(std::uint32_t w, Time t) const;
+
+ private:
   /// Arrival via an origin (flat edge or shortcut record) — merge-branch
   /// evaluation during journey replay.
   Time origin_arrival(std::uint32_t origin, Time t, bool at_source) const;

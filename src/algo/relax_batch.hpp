@@ -18,9 +18,12 @@
 // tests/batch_relax_test.cpp proves this differentially for every engine
 // and queue policy.
 //
-// The interleaved loop survives behind RelaxMode::kInterleaved as the
-// measurement baseline (bench_batchrelax) and as an escape hatch
-// (PCONN_NO_BATCH_RELAX=1 flips the process-wide default).
+// Two modes: kBatch phases every settle whose TTF fan-out reaches
+// RelaxOptions::batch_min_edges; the interleaved loop survives behind
+// RelaxMode::kInterleaved as the measurement baseline (bench_batchrelax)
+// and as an escape hatch (PCONN_NO_BATCH_RELAX=1 flips the process-wide
+// default). The differential tests force the phased body onto every
+// settle with kBatch and batch_min_edges = 0.
 //
 // RelaxBatch is the workspace-resident buffer of phase 1/2: engines own
 // one, placed in their QueryWorkspace's arena, and reserve() it to the
@@ -30,8 +33,10 @@
 
 #include <array>
 #include <bit>
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include "timetable/types.hpp"
@@ -39,15 +44,10 @@
 
 namespace pconn {
 
-class TtfPool;
-
 enum class RelaxMode : std::uint8_t {
   kInterleaved,  // seed behaviour: eval and push logic per edge
   kBatch,        // gather -> batch eval -> commit where profitable
-                 // (TTF fan-out >= kBatchRelaxMinEdges; the default)
-  kBatchAlways,  // phased loop on every settle, no profitability test —
-                 // exercises the batch bodies in the differential tests
-                 // and the A/B bench even where fan-outs are tiny
+                 // (TTF fan-out >= batch_min_edges; the default)
 };
 
 /// Fan-out threshold of the batch mode: a settled node whose block holds
@@ -75,12 +75,18 @@ inline RelaxMode default_relax_mode() {
 
 /// PCONN_BATCH_MIN_EDGES parsing, separated from the env lookup so the
 /// tests can exercise it without racing the process-wide cache below.
-/// Rejects garbage and negatives (falls back to the compiled default).
+/// Rejects garbage, negatives and values outside uint32_t (falls back to
+/// the compiled default rather than wrapping — a wrapped 2^32 would read
+/// as 0, "batch every settle").
 inline std::uint32_t parse_batch_min_edges(const char* v) {
   if (v == nullptr) return kBatchRelaxMinEdges;
   char* end = nullptr;
-  const long parsed = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0' || parsed < 0) return kBatchRelaxMinEdges;
+  errno = 0;
+  const long long parsed = std::strtoll(v, &end, 10);
+  if (end == v || *end != '\0' || errno == ERANGE || parsed < 0 ||
+      parsed > std::numeric_limits<std::uint32_t>::max()) {
+    return kBatchRelaxMinEdges;
+  }
   return static_cast<std::uint32_t>(parsed);
 }
 
@@ -108,7 +114,6 @@ inline const char* relax_mode_name(RelaxMode m) {
   switch (m) {
     case RelaxMode::kInterleaved: return "interleaved";
     case RelaxMode::kBatch: return "batch";
-    case RelaxMode::kBatchAlways: return "batch-always";
   }
   return "?";
 }
@@ -137,6 +142,15 @@ struct BatchStats {
                               static_cast<double>(gathers);
   }
   void reset() { *this = BatchStats{}; }
+  /// Folds another engine's records in (the matrix engine sums its lanes).
+  BatchStats& operator+=(const BatchStats& o) {
+    gathers += o.gathers;
+    gathered_edges += o.gathered_edges;
+    for (std::size_t b = 0; b < fanout_hist.size(); ++b) {
+      fanout_hist[b] += o.fanout_hist[b];
+    }
+    return *this;
+  }
 };
 
 /// The gather/eval scratch of one engine: parallel arrays of packed
@@ -199,107 +213,6 @@ class RelaxBatch {
   std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> aux2_;
   std::vector<Time, ArenaAllocator<Time>> out_;
   std::size_t capacity_ = 0;
-};
-
-/// The cross-query pending buffer of the throughput engines
-/// (algo/multi_query.hpp, docs/architecture.md "Throughput execution").
-///
-/// One relaxation round appends (word, entry-time, head[, edge]) tuples
-/// lane by lane — every active query contributes its settled node's
-/// surviving edges at its own pop key — and eval() then answers all of
-/// them with as few and as wide kernel calls as the round allows:
-///   * constant words are inline adds (no kernel, not lane-occupancy);
-///   * TTF slots are bucketed by function id in O(slots) — an epoch-
-///     stamped per-function group table, no comparison sort (an early
-///     std::sort-per-round draft cost more than the kernels saved);
-///     groups of >= kSharedRunMinLanes slots sharing one function become
-///     a single arrival_tn call (one metadata load, the entry times as
-///     the vector dimension);
-///   * the mixed-function residue goes through one wide arrival_ptn call
-///     (per-lane word AND per-lane time gathers).
-/// Group order is first appearance in slot order and slots stay ascending
-/// within a group, so call shapes — and every result slot — are
-/// deterministic.
-/// Every kernel call's width is record()ed into the engine's BatchStats —
-/// that histogram is the "did the cross-query batching actually reach
-/// 32-128 lanes" number bench_multiquery reports and CI gates.
-///
-/// Results are bit-identical to evaluating each slot alone (the kernels
-/// are bit-identical to the scalar path by the ttf_test sweeps), so the
-/// engines' commit passes see exactly the arrivals a per-query run would.
-class SharedFrontier {
- public:
-  SharedFrontier() = default;
-  explicit SharedFrontier(ScratchAlloc alloc)
-      : words_(ArenaAllocator<std::uint32_t>(alloc)),
-        heads_(ArenaAllocator<std::uint32_t>(alloc)),
-        edges_(ArenaAllocator<std::uint32_t>(alloc)),
-        times_(ArenaAllocator<Time>(alloc)),
-        out_(ArenaAllocator<Time>(alloc)),
-        seen_stamp_(ArenaAllocator<std::uint32_t>(alloc)),
-        word_group_(ArenaAllocator<std::uint32_t>(alloc)),
-        group_word_(ArenaAllocator<std::uint32_t>(alloc)),
-        group_cursor_(ArenaAllocator<std::uint32_t>(alloc)),
-        group_offset_(ArenaAllocator<std::uint32_t>(alloc)),
-        ttf_slots_(ArenaAllocator<std::uint32_t>(alloc)),
-        order_(ArenaAllocator<std::uint32_t>(alloc)),
-        run_ts_(ArenaAllocator<Time>(alloc)),
-        run_out_(ArenaAllocator<Time>(alloc)),
-        grp_words_(ArenaAllocator<std::uint32_t>(alloc)),
-        grp_slots_(ArenaAllocator<std::uint32_t>(alloc)),
-        grp_ts_(ArenaAllocator<Time>(alloc)),
-        grp_out_(ArenaAllocator<Time>(alloc)) {}
-
-  /// Same-function run length from which the grouped arrival_tn call is
-  /// preferred over folding the slots into the mixed arrival_ptn residue.
-  static constexpr std::size_t kSharedRunMinLanes = 8;
-
-  void clear() {
-    words_.clear();
-    heads_.clear();
-    edges_.clear();
-    times_.clear();
-  }
-  void push(std::uint32_t word, Time t, std::uint32_t head,
-            std::uint32_t edge = 0) {
-    words_.push_back(word);
-    times_.push_back(t);
-    heads_.push_back(head);
-    edges_.push_back(edge);
-  }
-  std::size_t size() const { return words_.size(); }
-  std::uint32_t head(std::size_t i) const { return heads_[i]; }
-  std::uint32_t edge(std::size_t i) const { return edges_[i]; }
-  Time out(std::size_t i) const { return out_[i]; }
-
-  /// Evaluates every pending slot against `pool` (out(i) = absolute
-  /// arrival via words[i] entered at times[i]); kernel-call widths are
-  /// recorded into `stats`. Definition in relax_batch.cpp.
-  void eval(const TtfPool& pool, BatchStats& stats);
-
- private:
-  std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> words_;
-  std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> heads_;
-  std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> edges_;
-  std::vector<Time, ArenaAllocator<Time>> times_;
-  std::vector<Time, ArenaAllocator<Time>> out_;
-  // Function-grouping scratch: seen_stamp_/word_group_ are per-function
-  // tables (pool-sized, epoch-stamped per eval round so no per-round
-  // clear); the rest are compacted per-round group arrays.
-  std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> seen_stamp_;
-  std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> word_group_;
-  std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> group_word_;
-  std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> group_cursor_;
-  std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> group_offset_;
-  std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> ttf_slots_;
-  std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> order_;
-  std::uint32_t round_ = 0;
-  std::vector<Time, ArenaAllocator<Time>> run_ts_;
-  std::vector<Time, ArenaAllocator<Time>> run_out_;
-  std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> grp_words_;
-  std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> grp_slots_;
-  std::vector<Time, ArenaAllocator<Time>> grp_ts_;
-  std::vector<Time, ArenaAllocator<Time>> grp_out_;
 };
 
 }  // namespace pconn

@@ -27,9 +27,7 @@
 // query of that kind — copy results out before re-querying the same kind.
 #pragma once
 
-#include <algorithm>
 #include <cassert>
-#include <cstdlib>
 #include <memory>
 #include <span>
 
@@ -136,7 +134,6 @@ class QuerySessionT {
     s2s_sg_ = nullptr;
     s2s_dt_ = nullptr;
     all_to_one_.reset();
-    multi_.reset();
     multi_ov_.reset();
     multi_ov_graph_ = nullptr;
     // All engine scratch above lived in ws_ or in the SPCS pool's
@@ -253,21 +250,10 @@ class QuerySessionT {
     return *all_to_one_;
   }
 
-  /// Throughput-mode engines (docs/architecture.md "Throughput execution"):
-  /// K concurrent time queries relaxed through one shared function-grouped
-  /// frontier. Per-lane results and accounting stay byte-identical to the
-  /// per-query engines above.
-  MultiQueryTimeEngineT<TimeQueue>& multi_engine() {
-    if (!multi_) {
-      multi_ =
-          std::make_unique<MultiQueryTimeEngineT<TimeQueue>>(*tt_, *g_, &ws_);
-      multi_->set_relax_options(opt_.relax_options());
-    }
-    return *multi_;
-  }
-
-  /// Overlay-routed throughput engine; binds to the overlay passed first
-  /// like overlay_time_engine().
+  /// The query-matrix engine (docs/architecture.md "Throughput
+  /// execution"): K overlay time queries on warm per-query lanes plus the
+  /// cross-lane down-sweep. Binds to the overlay passed first like
+  /// overlay_time_engine().
   MultiQueryOverlayTimeEngineT<TimeQueue>& multi_overlay_engine(
       const OverlayGraph& ov) {
     if (!multi_ov_ || multi_ov_graph_ != &ov) {
@@ -390,19 +376,11 @@ class QuerySessionT {
     return mc_engine().pareto(target);
   }
 
-  /// Runs all `queries` concurrently through the shared frontier; read
-  /// results off the returned engine (arrival_at(q, s), stats(q), ...) —
-  /// they hold until the next batch. Allocation-free once warm at a given
-  /// batch shape.
-  MultiQueryTimeEngineT<TimeQueue>& run_batch(
-      std::span<const BatchQuery> queries) {
-    multi_engine().set_track_parents(true);  // full API incl. parent(q, v)
-    multi_->run(queries);
-    return *multi_;
-  }
-
-  /// Overlay-routed run_batch; requires a prior multi_overlay_engine(ov)
-  /// call to bind the overlay.
+  /// Runs `queries` on the matrix engine's lanes; read results off the
+  /// returned engine (arrival_at(q, s), stats(q), settle_contracted_batch()
+  /// ...) — they hold until the next batch. Requires a prior
+  /// multi_overlay_engine(ov) call to bind the overlay. Allocation-free
+  /// once warm at a given batch shape.
   MultiQueryOverlayTimeEngineT<TimeQueue>& overlay_run_batch(
       std::span<const BatchQuery> queries) {
     assert(multi_ov_ &&
@@ -413,64 +391,22 @@ class QuerySessionT {
 
   /// Matrix workload: earliest arrival for every (source, target) pair at
   /// one departure, returned row-major (|sources| x |targets|, buffer
-  /// overwritten by the next call). Sources advance in waves of `lanes`
-  /// concurrent one-to-all searches so the shared eval stage stays wide.
-  /// `lanes` is a ceiling, not a demand: the flat path clamps each wave to
-  /// adaptive_table_lanes() so the wave's label pool stays cache-resident
-  /// (wider waves measurably regressed vs the per-query loop on dense
-  /// networks — the lane pool evicted the warm workspace faster than the
-  /// shared eval stage paid back).
-  std::span<const Time> distance_table_batch(
-      std::span<const StationId> sources, std::span<const StationId> targets,
-      Time departure, std::size_t lanes = 64) {
-    multi_engine();
-    table_buf_.resize(sources.size() * targets.size());
-    // The matrix API returns only times at the listed targets: run the
-    // waves arrival-only (no per-improvement parent stores) and stop each
-    // lane once its last target station settles. run_batch() re-enables
-    // full tracking.
-    multi_->set_track_parents(false);
-    multi_->set_stop_targets(targets);
-    run_table_waves(*multi_, sources, targets, departure,
-                    adaptive_table_lanes(g_->num_nodes(), lanes));
-    multi_->clear_stop_targets();
-    multi_->set_track_parents(true);
-    return table_buf_;
-  }
-
-  /// The flat wave-width policy above, exposed for tests/bench reporting:
-  /// table waves run arrival-only, so each lane owns ~8 B/node of live
-  /// label state (dist EpochArray values + epochs; parents are untracked).
-  /// The widest wave whose lane pools fit the cache budget is
-  /// budget / (nodes * 8 B) — floored at one lane tile (the engine's
-  /// lockstep width, which bounds the per-round working set on its own)
-  /// and capped at the caller's request. PCONN_TABLE_LANES overrides the
-  /// policy outright (the tuning escape hatch, read once per process like
-  /// PCONN_BATCH_MIN_EDGES).
-  static std::size_t adaptive_table_lanes(std::size_t num_nodes,
-                                          std::size_t requested) {
-    static const long env_lanes = [] {
-      const char* e = std::getenv("PCONN_TABLE_LANES");
-      return e != nullptr ? std::atol(e) : 0;
-    }();
-    if (env_lanes > 0) return static_cast<std::size_t>(env_lanes);
-    constexpr std::size_t kPerNodeBytes = 8;
-    constexpr std::size_t kCacheBudgetBytes = 24u << 20;
-    const std::size_t fit = kCacheBudgetBytes / (num_nodes * kPerNodeBytes + 1);
-    return std::min(std::max(fit, kLaneTile),
-                    requested ? requested : std::size_t{1});
+  /// overwritten by the next call of either table kind). A plain loop of
+  /// one-to-all runs on the warm time engine.
+  std::span<const Time> distance_table(std::span<const StationId> sources,
+                                       std::span<const StationId> targets,
+                                       Time departure) {
+    return fill_table(time_engine(), sources, targets, departure);
   }
 
   /// Overlay-routed matrix workload (station arrivals are exact after the
-  /// core run — no down-sweep needed); requires a bound overlay.
-  std::span<const Time> overlay_distance_table_batch(
+  /// core run — no down-sweep needed); requires a prior
+  /// overlay_time_engine(ov) call to bind the overlay.
+  std::span<const Time> overlay_distance_table(
       std::span<const StationId> sources, std::span<const StationId> targets,
-      Time departure, std::size_t lanes = 64) {
-    assert(multi_ov_ &&
-           "bind the overlay with multi_overlay_engine(ov) first");
-    table_buf_.resize(sources.size() * targets.size());
-    run_table_waves(*multi_ov_, sources, targets, departure, lanes);
-    return table_buf_;
+      Time departure) {
+    assert(ov_time_ && "bind the overlay with overlay_time_engine(ov) first");
+    return fill_table(*ov_time_, sources, targets, departure);
   }
 
   // --- memory accounting ---
@@ -494,28 +430,22 @@ class QuerySessionT {
   }
 
  private:
-  /// Shared body of the two matrix workloads: waves of `lanes` one-to-all
-  /// batch queries, arrivals scattered into table_buf_ row-major.
+  /// Shared body of the two matrix workloads: one one-to-all run per
+  /// source, arrivals scattered into table_buf_ row-major.
   template <typename Engine>
-  void run_table_waves(Engine& eng, std::span<const StationId> sources,
-                       std::span<const StationId> targets, Time departure,
-                       std::size_t lanes) {
-    if (lanes == 0) lanes = 1;
-    for (std::size_t w0 = 0; w0 < sources.size(); w0 += lanes) {
-      const std::size_t k = std::min(lanes, sources.size() - w0);
-      batch_queries_buf_.resize(k);
-      for (std::size_t q = 0; q < k; ++q) {
-        batch_queries_buf_[q] = {.source = sources[w0 + q],
-                                 .departure = departure};
-      }
-      eng.run(batch_queries_buf_);
-      for (std::size_t q = 0; q < k; ++q) {
-        Time* const row = table_buf_.data() + (w0 + q) * targets.size();
-        for (std::size_t j = 0; j < targets.size(); ++j) {
-          row[j] = eng.arrival_at(q, targets[j]);
-        }
+  std::span<const Time> fill_table(Engine& eng,
+                                   std::span<const StationId> sources,
+                                   std::span<const StationId> targets,
+                                   Time departure) {
+    table_buf_.resize(sources.size() * targets.size());
+    for (std::size_t i = 0; i < sources.size(); ++i) {
+      eng.run(sources[i], departure);
+      Time* const row = table_buf_.data() + i * targets.size();
+      for (std::size_t j = 0; j < targets.size(); ++j) {
+        row[j] = eng.arrival_at(targets[j]);
       }
     }
+    return table_buf_;
   }
 
   const Timetable* tt_;
@@ -544,7 +474,6 @@ class QuerySessionT {
   const StationGraph* s2s_sg_ = nullptr;
   const DistanceTable* s2s_dt_ = nullptr;
   std::unique_ptr<AllToOneProfilesT<SpcsQueue>> all_to_one_;
-  std::unique_ptr<MultiQueryTimeEngineT<TimeQueue>> multi_;
   std::unique_ptr<MultiQueryOverlayTimeEngineT<TimeQueue>> multi_ov_;
   const OverlayGraph* multi_ov_graph_ = nullptr;
 
@@ -557,7 +486,6 @@ class QuerySessionT {
   StationQueryResult s2s_buf_;
   Journey journey_buf_;
   std::vector<NodeId> path_scratch_;
-  std::vector<BatchQuery> batch_queries_buf_;
   std::vector<Time> table_buf_;
 };
 

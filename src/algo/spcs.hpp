@@ -336,8 +336,7 @@ class SpcsThreadStateT {
       };
 
       if (opt.relax != RelaxMode::kInterleaved &&
-          (opt.relax == RelaxMode::kBatchAlways ||
-           g.ttf_out_degree(v) >= opt.batch_min_edges)) {
+          g.ttf_out_degree(v) >= opt.batch_min_edges) {
         batch_.clear();
         for (std::uint32_t ei = eb; ei < ee; ++ei) {
           if (ei + 1 < ee) {

@@ -92,8 +92,7 @@ void TeTimeQueryT<Queue>::run(StationId source, Time departure,
     };
 
     if (relax_.mode != RelaxMode::kInterleaved &&
-        (relax_.mode == RelaxMode::kBatchAlways ||
-         edges.size() >= relax_.batch_min_edges)) {
+        edges.size() >= relax_.batch_min_edges) {
       batch_.clear();
       for (std::size_t ei = 0; ei < edges.size(); ++ei) {
         if (ei + 1 < edges.size()) dist_.prefetch(edges[ei + 1].head);

@@ -82,8 +82,7 @@ void TimeQueryT<Queue>::run(StationId source, Time departure,
     };
 
     if (relax_.mode != RelaxMode::kInterleaved &&
-        (relax_.mode == RelaxMode::kBatchAlways ||
-         g_.ttf_out_degree(v) >= relax_.batch_min_edges)) {
+        g_.ttf_out_degree(v) >= relax_.batch_min_edges) {
       batch_.clear();
       for (std::uint32_t ei = eb; ei < ee; ++ei) {
         if (ei + 1 < ee) dist_.prefetch(heads[ei + 1]);

@@ -177,9 +177,9 @@ class TtfPool {
                   Time* out) const;
 
   /// Batch evaluation, many (function, entry time) pairs:
-  /// out[i] = arrival_entry(entries[i], ts[i]) — the cross-query frontier
-  /// shape (algo/multi_query.hpp), where every pending edge carries the pop
-  /// key of its own query lane. The AVX2 kernel combines arrival_n's masked
+  /// out[i] = arrival_entry(entries[i], ts[i]) — every edge carries its own
+  /// entry time. No engine calls it; ttf_test and bench_batchrelax's micro
+  /// table still exercise it. The AVX2 kernel combines arrival_n's masked
   /// metadata/point gathers with arrival_tn's per-lane reciprocal modulo
   /// and a per-lane variable-shift bucket; bit-identical to the scalar
   /// entry-by-entry loop (tests/ttf_test.cpp sweeps it like the others).

@@ -5,16 +5,18 @@
 // accounting (settled, pushed, decreased, stale pops, relaxed, pruning
 // counters) to the interleaved seed loop.
 //
-// Both batch flavours are exercised: kBatch (the shipped adaptive mode,
-// phased only where the TTF fan-out clears kBatchRelaxMinEdges) and
-// kBatchAlways (the phased body on every settle — in the Pyrga graph model
-// route nodes carry a single travel function, so without forcing, the
-// SPCS/time/mc batch bodies would go untested).
+// Both batch configurations are exercised: kBatch at the default
+// threshold (the shipped adaptive mode, phased only where the TTF fan-out
+// clears batch_min_edges) and kBatch with batch_min_edges = 0 (the phased
+// body on every settle — in the Pyrga graph model route nodes carry a
+// single travel function, so without forcing, the SPCS/time/mc batch
+// bodies would go untested).
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "algo/contraction.hpp"
 #include "algo/lc_profile.hpp"
 #include "algo/mc_query.hpp"
 #include "algo/parallel_spcs.hpp"
@@ -31,8 +33,9 @@
 namespace pconn {
 namespace {
 
-constexpr RelaxMode kBatchModes[] = {RelaxMode::kBatch,
-                                     RelaxMode::kBatchAlways};
+const RelaxOptions kBatchModes[] = {
+    {.mode = RelaxMode::kBatch},
+    {.mode = RelaxMode::kBatch, .batch_min_edges = 0}};
 
 /// Same policy on both sides, so EVERY counter must agree — including the
 /// queue-shape ones the cross-policy tests exempt.
@@ -50,8 +53,9 @@ void expect_stats_eq(const QueryStats& a, const QueryStats& b,
   EXPECT_EQ(a.label_points, b.label_points) << what;
 }
 
-std::string mode_tag(QueueKind q, RelaxMode m) {
-  return std::string(queue_kind_name(q)) + "/" + relax_mode_name(m);
+std::string mode_tag(QueueKind q, const RelaxOptions& m) {
+  return std::string(queue_kind_name(q)) + "/" + relax_mode_name(m.mode) +
+         "/min" + std::to_string(m.batch_min_edges);
 }
 
 // ------------------------------------------------------------- session ---
@@ -87,6 +91,12 @@ TEST(BatchRelax, ParseBatchMinEdgesFallsBackOnGarbage) {
   EXPECT_EQ(parse_batch_min_edges("0"), 0u);
   EXPECT_EQ(parse_batch_min_edges("5"), 5u);
   EXPECT_EQ(parse_batch_min_edges("128"), 128u);
+  EXPECT_EQ(parse_batch_min_edges("4294967295"), 4294967295u);
+  // Out of uint32_t range: no silent wrap (2^32 would read as 0, "batch
+  // every settle").
+  EXPECT_EQ(parse_batch_min_edges("4294967296"), kBatchRelaxMinEdges);
+  EXPECT_EQ(parse_batch_min_edges("99999999999999999999"),
+            kBatchRelaxMinEdges);
 }
 
 // The threshold only picks which of the two equivalent loop bodies runs:
@@ -132,7 +142,9 @@ TEST(BatchRelax, SessionAppliesBatchMinEdgesKnob) {
   QuerySession session(tt, g, opt);
   EXPECT_EQ(session.time_engine().relax_options().batch_min_edges, 3u);
   EXPECT_EQ(session.mc_engine().relax_options().batch_min_edges, 3u);
-  EXPECT_EQ(session.multi_engine().relax_options().batch_min_edges, 3u);
+  const OverlayGraph ov = contract_graph(tt, g, {});
+  EXPECT_EQ(session.multi_overlay_engine(ov).relax_options().batch_min_edges,
+            3u);
   EXPECT_EQ(session.profile_engine().options().batch_min_edges, 3u);
 }
 
@@ -147,10 +159,11 @@ TEST(BatchRelax, SpcsOneToAllEveryPolicy) {
     for (QueueKind qk : kAllQueueKinds) {
       with_spcs_queue(qk, [&](auto tag) {
         using Queue = typename decltype(tag)::type;
-        for (RelaxMode m : kBatchModes) {
+        for (const RelaxOptions& m : kBatchModes) {
           ParallelSpcsOptions oi, ob;
           oi.relax = RelaxMode::kInterleaved;
-          ob.relax = m;
+          ob.relax = m.mode;
+          ob.batch_min_edges = m.batch_min_edges;
           // prune_on_relax in one of the configurations: its pre-test runs
           // in the gather phase.
           oi.prune_on_relax = ob.prune_on_relax = (net == 1);
@@ -179,10 +192,11 @@ TEST(BatchRelax, SpcsStationToStationStoppingCriterion) {
   for (QueueKind qk : kAllQueueKinds) {
     with_spcs_queue(qk, [&](auto tag) {
       using Queue = typename decltype(tag)::type;
-      for (RelaxMode m : kBatchModes) {
+      for (const RelaxOptions& m : kBatchModes) {
         ParallelSpcsOptions oi, ob;
         oi.relax = RelaxMode::kInterleaved;
-        ob.relax = m;
+        ob.relax = m.mode;
+        ob.batch_min_edges = m.batch_min_edges;
         oi.threads = ob.threads = 2;
         ParallelSpcsT<Queue> inter(tt, g, oi), batch(tt, g, ob);
         for (int i = 0; i < 6; ++i) {
@@ -220,10 +234,11 @@ TEST(BatchRelax, S2sTablePruningEveryPolicy) {
   for (QueueKind qk : kAllQueueKinds) {
     with_spcs_queue(qk, [&](auto tag) {
       using Queue = typename decltype(tag)::type;
-      for (RelaxMode m : kBatchModes) {
+      for (const RelaxOptions& m : kBatchModes) {
         S2sOptions oi, ob;
         oi.relax = RelaxMode::kInterleaved;
-        ob.relax = m;
+        ob.relax = m.mode;
+        ob.batch_min_edges = m.batch_min_edges;
         S2sQueryEngineT<Queue> inter(tt, g, sg, &dt, oi);
         S2sQueryEngineT<Queue> batch(tt, g, sg, &dt, ob);
         for (auto [s, t] : queries) {
@@ -251,8 +266,8 @@ TEST(BatchRelax, TimeQueryEveryPolicy) {
       using Queue = typename decltype(tag)::type;
       TimeQueryT<Queue> inter(tt, g), batch(tt, g);
       inter.set_relax_mode(RelaxMode::kInterleaved);
-      for (RelaxMode m : kBatchModes) {
-        batch.set_relax_mode(m);
+      for (const RelaxOptions& m : kBatchModes) {
+        batch.set_relax_options(m);
         for (int i = 0; i < 10; ++i) {
           StationId s =
               static_cast<StationId>(rng.next_below(tt.num_stations()));
@@ -288,8 +303,8 @@ TEST(BatchRelax, TeQueryEveryPolicy) {
       using Queue = typename decltype(tag)::type;
       TeTimeQueryT<Queue> inter(te), batch(te);
       inter.set_relax_mode(RelaxMode::kInterleaved);
-      for (RelaxMode m : kBatchModes) {
-        batch.set_relax_mode(m);
+      for (const RelaxOptions& m : kBatchModes) {
+        batch.set_relax_options(m);
         for (int i = 0; i < 8; ++i) {
           StationId s =
               static_cast<StationId>(rng.next_below(tt.num_stations()));
@@ -319,8 +334,8 @@ TEST(BatchRelax, McQueryEveryPolicy) {
       using Queue = typename decltype(tag)::type;
       McTimeQueryT<Queue> inter(tt, g), batch(tt, g);
       inter.set_relax_mode(RelaxMode::kInterleaved);
-      for (RelaxMode m : kBatchModes) {
-        batch.set_relax_mode(m);
+      for (const RelaxOptions& m : kBatchModes) {
+        batch.set_relax_options(m);
         for (int i = 0; i < 6; ++i) {
           StationId s =
               static_cast<StationId>(rng.next_below(tt.num_stations()));
@@ -350,19 +365,18 @@ TEST(BatchRelax, LcBinaryHeap) {
     Timetable tt =
         net == 0 ? test::small_city(37) : test::small_railway(38);
     TdGraph g = TdGraph::build(tt);
+    // LC has no fan-out threshold (its batch dimension is the label), so
+    // kBatch is its one batched configuration.
     LcProfileQuery inter(tt, g), batch(tt, g);
     inter.set_relax_mode(RelaxMode::kInterleaved);
-    for (RelaxMode m : kBatchModes) {
-      batch.set_relax_mode(m);
-      for (StationId s = 0; s < tt.num_stations(); s += 4) {
-        inter.run(s);
-        batch.run(s);
-        const std::string what = std::string("lc/") + relax_mode_name(m) +
-                                 " src " + std::to_string(s);
-        expect_stats_eq(inter.stats(), batch.stats(), what);
-        for (StationId v = 0; v < tt.num_stations(); ++v) {
-          EXPECT_EQ(inter.profile(v), batch.profile(v)) << what << " @" << v;
-        }
+    batch.set_relax_mode(RelaxMode::kBatch);
+    for (StationId s = 0; s < tt.num_stations(); s += 4) {
+      inter.run(s);
+      batch.run(s);
+      const std::string what = "lc src " + std::to_string(s);
+      expect_stats_eq(inter.stats(), batch.stats(), what);
+      for (StationId v = 0; v < tt.num_stations(); ++v) {
+        EXPECT_EQ(inter.profile(v), batch.profile(v)) << what << " @" << v;
       }
     }
   }

@@ -113,12 +113,12 @@ TEST(ContractionTtf, WordCostBoundsAreTight) {
 /// Dijkstra + downward sweep) must equal the flat engine at EVERY node.
 template <typename Queue>
 void expect_time_identity(const Timetable& tt, const TdGraph& g,
-                          const OverlayGraph& ov, RelaxMode mode,
+                          const OverlayGraph& ov, RelaxOptions relax,
                           std::uint64_t seed, int queries) {
   TimeQueryT<Queue> flat(tt, g);
   OverlayTimeQueryT<Queue> over(tt, g, ov);
-  flat.set_relax_mode(mode);
-  over.set_relax_mode(mode);
+  flat.set_relax_options(relax);
+  over.set_relax_options(relax);
   Rng rng(seed);
   for (int i = 0; i < queries; ++i) {
     const StationId s =
@@ -130,7 +130,7 @@ void expect_time_identity(const Timetable& tt, const TdGraph& g,
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       ASSERT_EQ(over.arrival_at_node(v), flat.arrival_at_node(v))
           << "node " << v << " source " << s << " dep " << dep << " mode "
-          << relax_mode_name(mode);
+          << relax_mode_name(relax.mode) << " min " << relax.batch_min_edges;
     }
   }
 }
@@ -173,14 +173,18 @@ void expect_overlay_identity(const Timetable& tt, const OverlayContractionOption
     }
   }
 
-  for (const RelaxMode mode :
-       {RelaxMode::kInterleaved, RelaxMode::kBatch, RelaxMode::kBatchAlways}) {
-    expect_time_identity<TimeBinaryQueue>(tt, g, ov, mode, seed, 3);
-    expect_lc_identity(tt, g, ov, mode, seed + 1, 2);
+  // Interleaved, the adaptive batch mode, and the phased body forced onto
+  // every settle (batch_min_edges = 0).
+  for (const RelaxOptions relax :
+       {RelaxOptions{.mode = RelaxMode::kInterleaved},
+        RelaxOptions{.mode = RelaxMode::kBatch},
+        RelaxOptions{.mode = RelaxMode::kBatch, .batch_min_edges = 0}}) {
+    expect_time_identity<TimeBinaryQueue>(tt, g, ov, relax, seed, 3);
+    expect_lc_identity(tt, g, ov, relax.mode, seed + 1, 2);
   }
   // The bucket policy on the default mode.
-  expect_time_identity<TimeBucketQueue>(tt, g, ov, RelaxMode::kBatch, seed + 4,
-                                        2);
+  expect_time_identity<TimeBucketQueue>(
+      tt, g, ov, {.mode = RelaxMode::kBatch}, seed + 4, 2);
 }
 
 TEST(ContractionOverlay, TinyLineIdentity) {
@@ -252,7 +256,7 @@ TEST(ContractionOverlay, BatchModeAccountingMatchesInterleaved) {
   OverlayTimeQuery inter(tt, g, ov), batch(tt, g, ov), always(tt, g, ov);
   inter.set_relax_mode(RelaxMode::kInterleaved);
   batch.set_relax_mode(RelaxMode::kBatch);
-  always.set_relax_mode(RelaxMode::kBatchAlways);
+  always.set_relax_options({.mode = RelaxMode::kBatch, .batch_min_edges = 0});
   Rng rng(88);
   for (int i = 0; i < 6; ++i) {
     const StationId s =

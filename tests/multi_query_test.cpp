@@ -1,11 +1,12 @@
-// Differential tests for the throughput-mode multi-query engines
-// (algo/multi_query.hpp): a batch of K concurrent searches advanced
-// through the shared function-grouped frontier must be byte-identical —
-// every lane's distances, parents and work accounting — to a loop of warm
-// per-query engines over the same query stream, for every queue policy,
-// every RelaxMode, K in {1, 4, 32}, on the flat graph AND the contraction
-// overlay. Plus the workspace guarantee: a warm run_batch() of the same
-// batch shape performs zero heap allocations (this TU replaces the global
+// Differential tests for the query-matrix engine (algo/multi_query.hpp):
+// a batch of K queries run on the engine's lanes, and the cross-lane
+// down-sweep over them, must be byte-identical — every lane's distances,
+// parents and work accounting — to a loop of warm per-query overlay
+// engines over the same query stream, for every queue policy, every relax
+// configuration and K in {1, 4, 32}. The lane-width accounting the bench
+// gates must keep its meaning, and the session's matrix workloads must
+// match per-query loops. Plus the workspace guarantee: a warm batch of the
+// same shape performs zero heap allocations (this TU replaces the global
 // operator new/delete with the counters of alloc_guard.hpp).
 #include <gtest/gtest.h>
 
@@ -26,8 +27,12 @@ namespace {
 
 using test::alloc_count;
 
-constexpr RelaxMode kAllModes[] = {RelaxMode::kInterleaved, RelaxMode::kBatch,
-                                   RelaxMode::kBatchAlways};
+/// Interleaved, the adaptive batch mode, and the phased body forced onto
+/// every settle (batch_min_edges = 0).
+const RelaxOptions kRelaxConfigs[] = {
+    {.mode = RelaxMode::kInterleaved},
+    {.mode = RelaxMode::kBatch},
+    {.mode = RelaxMode::kBatch, .batch_min_edges = 0}};
 constexpr std::size_t kBatchSizes[] = {1, 4, 32};
 
 void expect_stats_eq(const QueryStats& a, const QueryStats& b,
@@ -37,6 +42,15 @@ void expect_stats_eq(const QueryStats& a, const QueryStats& b,
   EXPECT_EQ(a.decreased, b.decreased) << what;
   EXPECT_EQ(a.stale_popped, b.stale_popped) << what;
   EXPECT_EQ(a.relaxed, b.relaxed) << what;
+}
+
+void expect_batch_stats_eq(const BatchStats& a, const BatchStats& b,
+                           const std::string& what) {
+  EXPECT_EQ(a.gathers, b.gathers) << what;
+  EXPECT_EQ(a.gathered_edges, b.gathered_edges) << what;
+  for (std::size_t i = 0; i < a.fanout_hist.size(); ++i) {
+    EXPECT_EQ(a.fanout_hist[i], b.fanout_hist[i]) << what << " bucket " << i;
+  }
 }
 
 /// K queries mixing one-to-all (even lanes) and targeted early-stop runs
@@ -54,45 +68,6 @@ std::vector<BatchQuery> make_queries(const Timetable& tt, Rng& rng,
   return qs;
 }
 
-// ------------------------------------------------------------- flat ---
-
-TEST(MultiQuery, FlatMatchesPerQueryEveryPolicyModeAndBatchSize) {
-  Timetable tt = test::small_city(41);
-  TdGraph g = TdGraph::build(tt);
-  Rng rng(71);
-  for (QueueKind qk : kAllQueueKinds) {
-    with_time_queue(qk, [&](auto tag) {
-      using Queue = typename decltype(tag)::type;
-      MultiQueryTimeEngineT<Queue> multi(tt, g);
-      TimeQueryT<Queue> per(tt, g);  // warm across the whole stream
-      for (RelaxMode m : kAllModes) {
-        multi.set_relax_mode(m);
-        per.set_relax_mode(m);
-        for (std::size_t k : kBatchSizes) {
-          const std::vector<BatchQuery> qs = make_queries(tt, rng, k);
-          multi.run(qs);
-          ASSERT_EQ(multi.num_queries(), k);
-          for (std::size_t q = 0; q < k; ++q) {
-            per.run(qs[q].source, qs[q].departure, qs[q].target);
-            const std::string what = std::string("flat ") +
-                                     queue_kind_name(qk) + "/" +
-                                     relax_mode_name(m) + " K=" +
-                                     std::to_string(k) + " lane " +
-                                     std::to_string(q);
-            expect_stats_eq(per.stats(), multi.stats(q), what);
-            for (NodeId v = 0; v < g.num_nodes(); ++v) {
-              ASSERT_EQ(multi.arrival_at_node(q, v), per.arrival_at_node(v))
-                  << what << " node " << v;
-              ASSERT_EQ(multi.parent(q, v), per.parent(v))
-                  << what << " node " << v;
-            }
-          }
-        }
-      }
-    });
-  }
-}
-
 // ---------------------------------------------------------- overlay ---
 
 TEST(MultiQuery, OverlayMatchesPerQueryEveryPolicyModeAndBatchSize) {
@@ -105,9 +80,9 @@ TEST(MultiQuery, OverlayMatchesPerQueryEveryPolicyModeAndBatchSize) {
       using Queue = typename decltype(tag)::type;
       MultiQueryOverlayTimeEngineT<Queue> multi(tt, g, ov);
       OverlayTimeQueryT<Queue> per(tt, g, ov);
-      for (RelaxMode m : kAllModes) {
-        multi.set_relax_mode(m);
-        per.set_relax_mode(m);
+      for (const RelaxOptions& m : kRelaxConfigs) {
+        multi.set_relax_options(m);
+        per.set_relax_options(m);
         for (std::size_t k : kBatchSizes) {
           const std::vector<BatchQuery> qs = make_queries(tt, rng, k);
           multi.run(qs);
@@ -120,11 +95,11 @@ TEST(MultiQuery, OverlayMatchesPerQueryEveryPolicyModeAndBatchSize) {
               per.settle_contracted();
               multi.settle_contracted(q);
             }
-            const std::string what = std::string("overlay ") +
-                                     queue_kind_name(qk) + "/" +
-                                     relax_mode_name(m) + " K=" +
-                                     std::to_string(k) + " lane " +
-                                     std::to_string(q);
+            const std::string what =
+                std::string("overlay ") + queue_kind_name(qk) + "/" +
+                relax_mode_name(m.mode) + "/min" +
+                std::to_string(m.batch_min_edges) + " K=" +
+                std::to_string(k) + " lane " + std::to_string(q);
             expect_stats_eq(per.stats(), multi.stats(q), what);
             for (NodeId v = 0; v < ov.num_nodes(); ++v) {
               ASSERT_EQ(multi.arrival_at_node(q, v), per.arrival_at_node(v))
@@ -197,11 +172,69 @@ TEST(MultiQuery, OverlayGraphMismatchThrows) {
                std::runtime_error);
 }
 
+// The gated lane-width metric (bench_multiquery's mean_lane_count) must
+// keep its meaning: after run(), batch_stats() is exactly the sum of K
+// standalone per-query runs' batch_stats(); the batched down-sweep then
+// adds one record per non-constant down-edge with at least one live lane,
+// its width the live lane count.
+TEST(MultiQuery, BatchStatsSumLanesPlusOneRecordPerLiveDownEdge) {
+  Timetable tt = test::small_city(47);
+  TdGraph g = TdGraph::build(tt);
+  const OverlayGraph ov = contract_graph(tt, g, {});
+  ASSERT_GT(ov.num_contracted(), 0u) << "fixture contracted nothing";
+  const std::size_t num_down_edges = ov.down_end(ov.num_contracted() - 1);
+  Rng rng(76);
+  for (QueueKind qk : kAllQueueKinds) {
+    with_time_queue(qk, [&](auto tag) {
+      using Queue = typename decltype(tag)::type;
+      MultiQueryOverlayTimeEngineT<Queue> multi(tt, g, ov);
+      OverlayTimeQueryT<Queue> per(tt, g, ov);
+      for (std::size_t k : kBatchSizes) {
+        const std::string what =
+            std::string(queue_kind_name(qk)) + " K=" + std::to_string(k);
+        // Mixed targeted / one-to-all lanes: the run-time records alone.
+        const std::vector<BatchQuery> mixed = make_queries(tt, rng, k);
+        multi.run(mixed);
+        BatchStats expect;
+        for (const BatchQuery& q : mixed) {
+          per.run(q.source, q.departure, q.target);
+          expect += per.batch_stats();
+        }
+        expect_batch_stats_eq(multi.batch_stats(), expect, what + " run");
+
+        // Full lanes, then the sweep: a down-edge's live lanes are those
+        // whose final label at its tail is reachable.
+        std::vector<BatchQuery> full = make_queries(tt, rng, k);
+        for (BatchQuery& q : full) q.target = kInvalidStation;
+        multi.run(full);
+        expect.reset();
+        std::vector<std::uint32_t> live(num_down_edges, 0);
+        for (const BatchQuery& q : full) {
+          per.run(q.source, q.departure);
+          expect += per.batch_stats();
+          per.settle_contracted();
+          for (std::uint32_t e = 0; e < num_down_edges; ++e) {
+            live[e] += per.arrival_at_node(ov.down_tail(e)) != kInfTime;
+          }
+        }
+        expect_batch_stats_eq(multi.batch_stats(), expect, what + " full");
+        for (std::uint32_t e = 0; e < num_down_edges; ++e) {
+          if (live[e] != 0 && !TdGraph::word_is_const(ov.down_word(e))) {
+            expect.record(live[e]);
+          }
+        }
+        multi.settle_contracted_batch();
+        expect_batch_stats_eq(multi.batch_stats(), expect, what + " sweep");
+      }
+    });
+  }
+}
+
 // ------------------------------------------------- session + workspace ---
 
-// The session's matrix workload must agree with per-query earliest-arrival
-// loops, flat and overlay-routed, at a lane width that spans several waves.
-TEST(MultiQuery, DistanceTableBatchMatchesPerQueryLoops) {
+// The session's matrix workloads must agree with per-query
+// earliest-arrival loops, flat and overlay-routed.
+TEST(MultiQuery, DistanceTableMatchesPerQueryLoops) {
   Timetable tt = test::small_city(44);
   TdGraph g = TdGraph::build(tt);
   const OverlayGraph ov = contract_graph(tt, g, {});
@@ -216,10 +249,9 @@ TEST(MultiQuery, DistanceTableBatchMatchesPerQueryLoops) {
   const Time dep = 8 * 3600;
 
   QuerySession session(tt, g);
-  session.multi_overlay_engine(ov);
-  // lanes = 4 forces several waves over the 9 sources.
+  session.overlay_time_engine(ov);
   const std::span<const Time> flat =
-      session.distance_table_batch(sources, targets, dep, 4);
+      session.distance_table(sources, targets, dep);
   ASSERT_EQ(flat.size(), sources.size() * targets.size());
   TimeQuery per(tt, g);
   for (std::size_t i = 0; i < sources.size(); ++i) {
@@ -231,7 +263,7 @@ TEST(MultiQuery, DistanceTableBatchMatchesPerQueryLoops) {
   }
 
   const std::span<const Time> routed =
-      session.overlay_distance_table_batch(sources, targets, dep, 4);
+      session.overlay_distance_table(sources, targets, dep);
   OverlayTimeQuery over(tt, g, ov);
   for (std::size_t i = 0; i < sources.size(); ++i) {
     over.run(sources[i], dep);
@@ -242,56 +274,9 @@ TEST(MultiQuery, DistanceTableBatchMatchesPerQueryLoops) {
   }
 }
 
-// The table waves run arrival-only with a multi-target stop (the matrix
-// API returns only times at its listed targets); run_batch through the
-// same engine must still hand back full per-query results — parents
-// included — no matter how the two workloads interleave.
-TEST(MultiQuery, TableModeRestoresFullTracking) {
-  Timetable tt = test::small_city(46);
-  TdGraph g = TdGraph::build(tt);
-  Rng rng(75);
-  std::vector<StationId> sources, targets;
-  for (int i = 0; i < 6; ++i) {
-    sources.push_back(static_cast<StationId>(rng.next_below(tt.num_stations())));
-  }
-  for (int i = 0; i < 5; ++i) {
-    targets.push_back(static_cast<StationId>(rng.next_below(tt.num_stations())));
-  }
-  const Time dep = 7 * 3600;
-  std::vector<BatchQuery> qs;
-  for (const StationId s : sources) {
-    qs.push_back({.source = s, .departure = dep});
-  }
-
-  QuerySession session(tt, g);
-  TimeQuery per(tt, g);
-  for (int round = 0; round < 2; ++round) {
-    // Table call first: arrival-only waves with the stop set armed ...
-    const std::span<const Time> table =
-        session.distance_table_batch(sources, targets, dep, 4);
-    for (std::size_t i = 0; i < sources.size(); ++i) {
-      per.run(sources[i], dep);
-      for (std::size_t j = 0; j < targets.size(); ++j) {
-        EXPECT_EQ(table[i * targets.size() + j], per.arrival_at(targets[j]));
-      }
-    }
-    // ... then run_batch must be back to the full per-query contract:
-    // every node's distance AND parent, full (unstopped) searches.
-    auto& eng = session.run_batch(qs);
-    for (std::size_t q = 0; q < qs.size(); ++q) {
-      per.run(sources[q], dep);
-      for (NodeId v = 0; v < g.num_nodes(); ++v) {
-        ASSERT_EQ(eng.arrival_at_node(q, v), per.arrival_at_node(v));
-        ASSERT_EQ(eng.parent(q, v), per.parent(v));
-      }
-      ASSERT_EQ(eng.stats(q).settled, per.stats().settled);
-    }
-  }
-}
-
-// Zero-allocation guarantee: after warm-up, run_batch / the matrix
-// workloads of the same batch shape allocate nothing — all lane state and
-// the shared frontier live in the session workspace.
+// Zero-allocation guarantee: after warm-up, the matrix engine and the
+// table workloads at the same batch shape allocate nothing — all lane
+// state and the sweep buffers live in the session workspace.
 TEST(MultiQuery, WarmRunBatchDoesNotAllocate) {
   Timetable tt = test::small_city(45);
   TdGraph g = TdGraph::build(tt);
@@ -312,16 +297,15 @@ TEST(MultiQuery, WarmRunBatchDoesNotAllocate) {
 
   QuerySession session(tt, g);
   session.multi_overlay_engine(ov);
+  session.overlay_time_engine(ov);
   std::uint64_t sink = 0;
   const auto exercise = [&] {
-    sink += session.run_batch(qs).stats(0).settled;
     sink += session.overlay_run_batch(qs).stats(0).settled;
     auto& eng = session.overlay_run_batch(qs_full);
     eng.settle_contracted_batch();
     sink += eng.arrival_at_node(0, 0);
-    sink += session.distance_table_batch(sources, targets, dep, 4).size();
-    sink += session.overlay_distance_table_batch(sources, targets, dep, 4)
-                .size();
+    sink += session.distance_table(sources, targets, dep).size();
+    sink += session.overlay_distance_table(sources, targets, dep).size();
   };
   exercise();  // engine construction + capacity growth
   exercise();  // second pass: every buffer at steady-state capacity

@@ -17,12 +17,22 @@
 namespace pconn {
 namespace {
 
-ParallelSpcsOptions spcs_opts(unsigned threads, RelaxMode mode) {
+ParallelSpcsOptions spcs_opts(
+    unsigned threads, RelaxMode mode,
+    std::uint32_t batch_min_edges = default_batch_min_edges()) {
   ParallelSpcsOptions o;
   o.threads = threads;
   o.relax = mode;
+  o.batch_min_edges = batch_min_edges;
   return o;
 }
+
+/// Interleaved, the adaptive batch mode, and the phased body forced onto
+/// every settle (batch_min_edges = 0).
+const RelaxOptions kRelaxConfigs[] = {
+    {.mode = RelaxMode::kInterleaved},
+    {.mode = RelaxMode::kBatch},
+    {.mode = RelaxMode::kBatch, .batch_min_edges = 0}};
 
 /// A few deterministic sources spread over the station range.
 std::vector<StationId> pick_sources(const Timetable& tt, std::uint64_t seed,
@@ -42,9 +52,12 @@ std::vector<StationId> pick_sources(const Timetable& tt, std::uint64_t seed,
 template <typename Queue>
 void expect_station_identity(const Timetable& tt, const TdGraph& g,
                              const OverlayGraph& ov, unsigned threads,
-                             RelaxMode mode, std::uint64_t seed) {
-  ParallelSpcsT<Queue> flat(tt, g, spcs_opts(threads, mode));
-  OverlayParallelSpcsT<Queue> over(tt, g, ov, spcs_opts(threads, mode));
+                             RelaxMode mode, std::uint64_t seed,
+                             std::uint32_t batch_min_edges =
+                                 default_batch_min_edges()) {
+  const ParallelSpcsOptions opt = spcs_opts(threads, mode, batch_min_edges);
+  ParallelSpcsT<Queue> flat(tt, g, opt);
+  OverlayParallelSpcsT<Queue> over(tt, g, ov, opt);
   for (const StationId s : pick_sources(tt, seed, 2)) {
     const OneToAllResult rf = flat.one_to_all(s);
     const OneToAllResult ro = over.one_to_all(s);
@@ -52,7 +65,8 @@ void expect_station_identity(const Timetable& tt, const TdGraph& g,
     for (StationId v = 0; v < tt.num_stations(); ++v) {
       ASSERT_EQ(ro.profiles[v], rf.profiles[v])
           << "station " << v << " source " << s << " threads " << threads
-          << " mode " << relax_mode_name(mode);
+          << " mode " << relax_mode_name(mode) << " min "
+          << batch_min_edges;
     }
   }
 }
@@ -63,12 +77,11 @@ TEST(OverlaySpcs, StationIdentityAcrossThreadsPoliciesModes) {
   const OverlayGraph ov = contract_graph(tt, g);
   std::uint64_t seed = 9000;
   for (const unsigned threads : {1u, 2u, 8u}) {
-    for (const RelaxMode mode : {RelaxMode::kInterleaved, RelaxMode::kBatch,
-                                 RelaxMode::kBatchAlways}) {
-      expect_station_identity<SpcsBinaryQueue>(tt, g, ov, threads, mode,
-                                               seed++);
-      expect_station_identity<SpcsBucketQueue>(tt, g, ov, threads, mode,
-                                               seed++);
+    for (const RelaxOptions& r : kRelaxConfigs) {
+      expect_station_identity<SpcsBinaryQueue>(tt, g, ov, threads, r.mode,
+                                               seed++, r.batch_min_edges);
+      expect_station_identity<SpcsBucketQueue>(tt, g, ov, threads, r.mode,
+                                               seed++, r.batch_min_edges);
     }
   }
 }
@@ -106,9 +119,12 @@ TEST(OverlaySpcs, StationIdentityOtherFixtures) {
 template <typename Queue>
 void expect_node_identity(const Timetable& tt, const TdGraph& g,
                           const OverlayGraph& ov, unsigned threads,
-                          RelaxMode mode, StationId s) {
-  ParallelSpcsT<Queue> flat(tt, g, spcs_opts(threads, mode));
-  OverlayParallelSpcsT<Queue> over(tt, g, ov, spcs_opts(threads, mode));
+                          RelaxMode mode, StationId s,
+                          std::uint32_t batch_min_edges =
+                              default_batch_min_edges()) {
+  const ParallelSpcsOptions opt = spcs_opts(threads, mode, batch_min_edges);
+  ParallelSpcsT<Queue> flat(tt, g, opt);
+  OverlayParallelSpcsT<Queue> over(tt, g, ov, opt);
   flat.one_to_all(s);
   over.one_to_all(s);
   over.settle_contracted();
@@ -116,7 +132,7 @@ void expect_node_identity(const Timetable& tt, const TdGraph& g,
     ASSERT_EQ(over.node_profile(s, v), flat.node_profile(s, v))
         << "node " << v << (ov.is_core(v) ? " (core)" : " (contracted)")
         << " source " << s << " threads " << threads << " mode "
-        << relax_mode_name(mode);
+        << relax_mode_name(mode) << " min " << batch_min_edges;
   }
 }
 
@@ -132,8 +148,8 @@ TEST(OverlaySpcs, NodeIdentityAfterSweep) {
     expect_node_identity<SpcsBinaryQueue>(tt, g, ov, threads, RelaxMode::kBatch,
                                           s);
   }
-  expect_node_identity<SpcsBucketQueue>(tt, g, ov, 2, RelaxMode::kBatchAlways,
-                                        s);
+  expect_node_identity<SpcsBucketQueue>(tt, g, ov, 2, RelaxMode::kBatch, s,
+                                        /*batch_min_edges=*/0);
 }
 
 // ------------------------------------------------------------- accounting ---
@@ -161,10 +177,9 @@ TEST(OverlaySpcs, AccountingIdenticalAcrossRelaxModes) {
   for (const unsigned threads : {1u, 2u}) {
     QueryStats base{};
     bool first = true;
-    for (const RelaxMode mode : {RelaxMode::kInterleaved, RelaxMode::kBatch,
-                                 RelaxMode::kBatchAlways}) {
-      OverlayParallelSpcsT<SpcsBinaryQueue> over(tt, g, ov,
-                                                 spcs_opts(threads, mode));
+    for (const RelaxOptions& r : kRelaxConfigs) {
+      OverlayParallelSpcsT<SpcsBinaryQueue> over(
+          tt, g, ov, spcs_opts(threads, r.mode, r.batch_min_edges));
       over.one_to_all(s);
       over.settle_contracted();
       const QueryStats st = over.accumulated_stats();
@@ -172,7 +187,7 @@ TEST(OverlaySpcs, AccountingIdenticalAcrossRelaxModes) {
         base = st;
         first = false;
       } else {
-        expect_same_work(base, st, relax_mode_name(mode));
+        expect_same_work(base, st, relax_mode_name(r.mode));
       }
     }
   }
