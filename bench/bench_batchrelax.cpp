@@ -3,7 +3,7 @@
 //
 // Every engine can run its settle loop in two modes (RelaxMode): the seed
 // interleaved per-edge form and the batched form that gathers a node's
-// surviving edges and evaluates them with the vectorized TtfPool kernels.
+// surviving edges and evaluates them with the batched TtfPool entry points.
 // This bench runs the one-to-all workloads in both modes over identical
 // query streams, enforces bit-identical results AND settled/pushed
 // accounting (aborting otherwise), and reports the speedups:
@@ -16,8 +16,9 @@
 //     node's out-degree (2-3 edges on route nodes), so batching buys
 //     little there by construction — the value of the restructure is that
 //     every engine shares one relax discipline with identical results.
-//   * micro — the kernels in isolation: batched arrival_n / arrival_tn vs
-//     the per-edge scalar eval at several batch widths.
+//   * micro — the kernels in isolation: batched arrival_n (scalar,
+//     prefetching) / arrival_tn (AVX2 gather) vs the per-edge scalar eval
+//     at several batch widths.
 //
 // JSON (--json) is archived by CI as BENCH_batch.json.
 #include <cstdint>
@@ -263,7 +264,6 @@ std::vector<MicroRow> run_micro() {
     std::vector<Time> out(batch);
     MicroRow arr_row{"arrival_n", batch, 1e100, 1e100};
     MicroRow tn_row{"arrival_tn", batch, 1e100, 1e100};
-    MicroRow ptn_row{"arrival_ptn", batch, 1e100, 1e100};
     std::vector<Time> ts(batch);
     for (int b = 0; b < kBlocks; ++b) {
       Rng mix(7 + b);
@@ -322,35 +322,9 @@ std::vector<MicroRow> run_micro() {
         std::cerr << "FATAL: arrival_tn micro checksum diverges\n";
         std::exit(1);
       }
-      sink_s = sink_b = 0;
-      // The cross-query frontier shape: per-lane function AND entry time.
-      {
-        Timer t;
-        for (int s = 0; s < sweeps; ++s) {
-          for (std::size_t i = 0; i < batch; ++i) {
-            sink_s += pool.arrival_entry(idx[i], ts[i]);
-          }
-        }
-        ptn_row.scalar_ns = std::min(
-            ptn_row.scalar_ns, t.elapsed_ms() * 1e6 / (sweeps * batch));
-      }
-      {
-        Timer t;
-        for (int s = 0; s < sweeps; ++s) {
-          pool.arrival_ptn(idx.data(), ts.data(), batch, out.data());
-          for (std::size_t i = 0; i < batch; ++i) sink_b += out[i];
-        }
-        ptn_row.batch_ns = std::min(
-            ptn_row.batch_ns, t.elapsed_ms() * 1e6 / (sweeps * batch));
-      }
-      if (sink_s != sink_b) {
-        std::cerr << "FATAL: arrival_ptn micro checksum diverges\n";
-        std::exit(1);
-      }
     }
     rows.push_back(arr_row);
     rows.push_back(tn_row);
-    rows.push_back(ptn_row);
   }
 
   TablePrinter table({"kernel", "batch", "scalar [ns]", "batch [ns]", "spd-up"});
@@ -409,7 +383,7 @@ std::string to_json(const std::vector<BatchRow>& rows,
   // batched kernel stops losing to the per-edge scalar loop (0 = never
   // within the sweep). This is the number the throughput engine's lane
   // targets are sized against (docs/architecture.md).
-  for (const char* kind : {"arrival_n", "arrival_tn", "arrival_ptn"}) {
+  for (const char* kind : {"arrival_n", "arrival_tn"}) {
     std::size_t crossover = 0;
     for (const MicroRow& r : micro) {
       if (r.kind == kind && r.speedup() >= 1.0 &&

@@ -20,6 +20,7 @@
 // geomean) is gated >= 1.2.
 #include <cmath>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -36,6 +37,8 @@ namespace pconn::bench {
 namespace {
 
 // ------------------------------------------------------------------ legacy
+
+constexpr std::uint32_t kNoTtf = std::numeric_limits<std::uint32_t>::max();
 
 /// The seed's AoS graph: edge records with the TTF index inline, one Ttf
 /// object (own heap vector, lower_bound eval) per travel edge.
@@ -60,17 +63,19 @@ struct LegacyGraph {
     lg.edges.reserve(g.num_edges());
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       lg.edge_begin[v] = static_cast<std::uint32_t>(lg.edges.size());
-      for (const TdGraph::Edge& e : g.out_edges(v)) {
-        if (e.ttf == kNoTtf) {
-          lg.edges.push_back({e.head, kNoTtf, e.weight});
+      for (TdGraph::EdgeId e = g.edge_begin(v); e != g.edge_end(v); ++e) {
+        const NodeId head = g.edge_head(e);
+        const std::uint32_t w = g.edge_word(e);
+        if (TdGraph::word_is_const(w)) {
+          lg.edges.push_back({head, kNoTtf, TdGraph::word_weight(w)});
         } else {
-          auto pts = g.ttfs().points(e.ttf);
+          auto pts = g.ttfs().points(TdGraph::word_ttf(w));
           std::uint32_t idx = static_cast<std::uint32_t>(lg.ttfs.size());
           // The points are already reduced; Ttf::build is an identity
           // re-pack into a per-function vector, exactly the seed storage.
           lg.ttfs.push_back(
               Ttf::build({pts.begin(), pts.end()}, g.period()));
-          lg.edges.push_back({e.head, idx, 0});
+          lg.edges.push_back({head, idx, 0});
         }
       }
     }
@@ -78,7 +83,7 @@ struct LegacyGraph {
     return lg;
   }
 
-  Time arrival_via(const Edge& e, Time t) const {
+  Time edge_arrival(const Edge& e, Time t) const {
     if (e.ttf == kNoTtf) return t + e.weight;
     return ttfs[e.ttf].arrival(t);
   }
@@ -130,7 +135,7 @@ struct LegacyTimeQuery {
       const std::uint32_t eb = g.edge_begin[v], ee = g.edge_begin[v + 1];
       for (std::uint32_t ei = eb; ei < ee; ++ei) {
         const LegacyGraph::Edge& e = g.edges[ei];
-        Time t = (v == src && e.ttf == kNoTtf) ? key : g.arrival_via(e, key);
+        Time t = (v == src && e.ttf == kNoTtf) ? key : g.edge_arrival(e, key);
         if (t == kInfTime) continue;
         stats.relaxed++;
         if (settled.get(e.head)) continue;
@@ -205,7 +210,7 @@ LayoutRow run_network(gen::Preset preset) {
       for (int r = 0; r < relax_reps; ++r) {
         for (Time tau : times) {
           for (const LegacyGraph::Edge& e : legacy.edges) {
-            const Time a = legacy.arrival_via(e, tau);
+            const Time a = legacy.edge_arrival(e, tau);
             if (a != kInfTime) lsum += a;
           }
         }

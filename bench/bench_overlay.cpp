@@ -12,7 +12,7 @@
 //   * time p2p         — station-to-station earliest arrival, target stop;
 //   * lc one-to-all    — the label-correcting profile baseline (reported).
 // The batch-engagement report (mean gather size, log2 fan-out histogram)
-// shows the overlay feeding the AVX2 arrival_n kernel with wide batches —
+// shows the overlay feeding the batched arrival_n eval with wide batches —
 // the ROADMAP "wider batch surfaces" item this subsystem lands.
 //
 // JSON (--json) is archived by CI as BENCH_overlay.json; CI gates

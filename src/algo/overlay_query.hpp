@@ -5,7 +5,7 @@
 // backed workspace discipline — but since a core station's out-block is a
 // fan of shortcut TTFs (not the flat model's 1-TTF route nodes), the
 // adaptive batch mode engages on nearly every settle and the gather ->
-// eval -> commit phases finally run the AVX2 arrival_n kernel at width.
+// eval -> commit phases run at width.
 //
 // Exactness: stations are never contracted, so core distances equal flat
 // distances at every departure time. OverlayTimeQueryT reports arrivals at

@@ -7,9 +7,9 @@
 //   1. gather — stream the SoA head/word arrays, run the cheap pre-tests
 //      (settled / self-pruning / domination) on the streamed heads, and
 //      append the surviving edges' packed words to a batch buffer;
-//   2. eval   — evaluate the whole batch with one TtfPool::arrival_n /
-//      arrival_tn call (AVX2 gather kernel under runtime dispatch,
-//      constant-weight words inline);
+//   2. eval   — evaluate the whole batch with one TtfPool::arrival_n call
+//      (a prefetching scalar loop, constant-weight words inline) or, for
+//      LC's label profiles, one sorted arrival_tn pass;
 //   3. commit — walk the batch *in edge order* and run the queue
 //      push/decrease logic against the evaluated arrivals.
 // Committing in edge order, and re-running any pre-test whose state the
@@ -65,7 +65,7 @@ enum class RelaxMode : std::uint8_t {
 inline constexpr std::uint32_t kBatchRelaxMinEdges = 8;
 
 /// Process-wide default: batch, unless PCONN_NO_BATCH_RELAX is set (the
-/// A/B escape hatch, mirroring PCONN_NO_AVX2 for the kernels).
+/// A/B escape hatch).
 inline RelaxMode default_relax_mode() {
   static const RelaxMode mode = std::getenv("PCONN_NO_BATCH_RELAX") != nullptr
                                     ? RelaxMode::kInterleaved
@@ -134,7 +134,7 @@ struct BatchStats {
     const unsigned b = static_cast<unsigned>(std::bit_width(n));
     ++fanout_hist[b < fanout_hist.size() ? b : fanout_hist.size() - 1];
   }
-  /// Mean gather size over executed batches — the "does the AVX2 kernel
+  /// Mean gather size over executed batches — the "do the phased bodies
   /// actually see wide batches" number bench_overlay reports and CI gates.
   double mean_gather() const {
     return gathers == 0 ? 0.0

@@ -12,8 +12,8 @@
 // Every shortcut TTF is appended into this graph's own TtfPool, whose
 // first `num_base_ttfs()` functions are a verbatim copy of the base
 // graph's pool — so base edge words keep their numeric value, and the
-// overlay shares the SoA/CSR layout, the bucket eval index and the AVX2
-// batch kernels (arrival_n) with the flat relax loops.
+// overlay shares the SoA/CSR layout, the bucket eval index and the batched
+// eval (arrival_n) with the flat relax loops.
 //
 // Two CSRs survive the contraction:
 //   * the unified out-CSR ("upward"): a core node's surviving edges (all

@@ -42,8 +42,6 @@ StationGraph StationGraph::build(const Timetable& tt) {
   g.fwd_min_ride_.resize(m);
   g.fwd_num_conns_.resize(m);
   g.rev_head_.resize(m);
-  g.rev_min_ride_.resize(m);
-  g.rev_num_conns_.resize(m);
   std::vector<std::uint32_t> fpos(g.fwd_begin_.begin(), g.fwd_begin_.end() - 1);
   std::vector<std::uint32_t> rpos(g.rev_begin_.begin(), g.rev_begin_.end() - 1);
   for (const auto& [key, e] : agg) {
@@ -53,8 +51,6 @@ StationGraph StationGraph::build(const Timetable& tt) {
     g.fwd_num_conns_[f] = e.num_conns;
     const std::uint32_t r = rpos[key.second]++;
     g.rev_head_[r] = key.first;  // reverse edge points back to the tail
-    g.rev_min_ride_[r] = e.min_ride;
-    g.rev_num_conns_[r] = e.num_conns;
   }
   return g;
 }
@@ -69,9 +65,8 @@ std::size_t StationGraph::degree(StationId s) const {
 std::size_t StationGraph::memory_bytes() const {
   return (fwd_begin_.size() + rev_begin_.size()) * sizeof(std::uint32_t) +
          (fwd_head_.size() + rev_head_.size()) * sizeof(StationId) +
-         (fwd_min_ride_.size() + rev_min_ride_.size()) * sizeof(Time) +
-         (fwd_num_conns_.size() + rev_num_conns_.size()) *
-             sizeof(std::uint32_t);
+         fwd_min_ride_.size() * sizeof(Time) +
+         fwd_num_conns_.size() * sizeof(std::uint32_t);
 }
 
 }  // namespace pconn

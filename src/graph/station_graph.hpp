@@ -3,11 +3,10 @@
 // bounds (fastest ride) for the static contraction used in transfer-station
 // selection, and the reverse adjacency for the via-station DFS.
 //
-// Storage is structure-of-arrays per direction: heads, min-ride lower
-// bounds and connection counts live in parallel arrays, so the via DFS —
-// which only needs heads — streams a dense 4-byte-per-edge array instead
-// of striding over 12-byte AoS records. The `Edge` struct survives as a
-// decoded per-edge view for non-hot callers.
+// Storage is structure-of-arrays: forward heads, min-ride lower bounds and
+// connection counts live in parallel arrays indexed by edge id
+// (out_begin/out_end), and the reverse side keeps heads only, so the via
+// DFS streams a dense 4-byte-per-edge array.
 #pragma once
 
 #include <cstdint>
@@ -20,13 +19,6 @@ namespace pconn {
 
 class StationGraph {
  public:
-  /// Decoded view of one edge (storage is SoA; assembled on access).
-  struct Edge {
-    StationId head;
-    Time min_ride;            // fastest elementary connection on this edge
-    std::uint32_t num_conns;  // how many elementary connections back it
-  };
-
   static StationGraph build(const Timetable& tt);
 
   std::size_t num_stations() const { return fwd_begin_.size() - 1; }
@@ -34,8 +26,6 @@ class StationGraph {
   // --- SoA access (the via DFS streams the reverse head array) ----------
   std::uint32_t out_begin(StationId s) const { return fwd_begin_[s]; }
   std::uint32_t out_end(StationId s) const { return fwd_begin_[s + 1]; }
-  std::uint32_t in_begin(StationId s) const { return rev_begin_[s]; }
-  std::uint32_t in_end(StationId s) const { return rev_begin_[s + 1]; }
   /// Heads of the out-edges of s, as a dense span.
   std::span<const StationId> out_heads(StationId s) const {
     return {fwd_head_.data() + fwd_begin_[s], fwd_head_.data() + fwd_begin_[s + 1]};
@@ -44,46 +34,10 @@ class StationGraph {
   std::span<const StationId> in_heads(StationId s) const {
     return {rev_head_.data() + rev_begin_[s], rev_head_.data() + rev_begin_[s + 1]};
   }
+  /// Fastest elementary connection on out-edge e.
   Time out_min_ride(std::uint32_t e) const { return fwd_min_ride_[e]; }
+  /// How many elementary connections back out-edge e.
   std::uint32_t out_num_conns(std::uint32_t e) const { return fwd_num_conns_[e]; }
-
-  // --- decoded compat view ----------------------------------------------
-  class EdgeIterator {
-   public:
-    EdgeIterator(const StationId* heads, const Time* rides,
-                 const std::uint32_t* conns, std::uint32_t e)
-        : heads_(heads), rides_(rides), conns_(conns), e_(e) {}
-    Edge operator*() const { return {heads_[e_], rides_[e_], conns_[e_]}; }
-    EdgeIterator& operator++() {
-      ++e_;
-      return *this;
-    }
-    bool operator!=(const EdgeIterator& o) const { return e_ != o.e_; }
-    bool operator==(const EdgeIterator& o) const { return e_ == o.e_; }
-
-   private:
-    const StationId* heads_;
-    const Time* rides_;
-    const std::uint32_t* conns_;
-    std::uint32_t e_;
-  };
-  struct EdgeRange {
-    EdgeIterator first, last;
-    EdgeIterator begin() const { return first; }
-    EdgeIterator end() const { return last; }
-  };
-  EdgeRange out_edges(StationId s) const {
-    return {{fwd_head_.data(), fwd_min_ride_.data(), fwd_num_conns_.data(),
-             fwd_begin_[s]},
-            {fwd_head_.data(), fwd_min_ride_.data(), fwd_num_conns_.data(),
-             fwd_begin_[s + 1]}};
-  }
-  EdgeRange in_edges(StationId s) const {
-    return {{rev_head_.data(), rev_min_ride_.data(), rev_num_conns_.data(),
-             rev_begin_[s]},
-            {rev_head_.data(), rev_min_ride_.data(), rev_num_conns_.data(),
-             rev_begin_[s + 1]}};
-  }
 
   std::size_t out_degree(StationId s) const {
     return fwd_begin_[s + 1] - fwd_begin_[s];
@@ -101,8 +55,8 @@ class StationGraph {
  private:
   std::vector<std::uint32_t> fwd_begin_, rev_begin_;
   std::vector<StationId> fwd_head_, rev_head_;
-  std::vector<Time> fwd_min_ride_, rev_min_ride_;
-  std::vector<std::uint32_t> fwd_num_conns_, rev_num_conns_;
+  std::vector<Time> fwd_min_ride_;
+  std::vector<std::uint32_t> fwd_num_conns_;
 };
 
 }  // namespace pconn

@@ -8,14 +8,10 @@
 namespace pconn {
 
 TdGraph TdGraph::build(const Timetable& tt) {
-  return build(tt, TtfIndexOptions::from_env());
-}
-
-TdGraph TdGraph::build(const Timetable& tt, const TtfIndexOptions& idx) {
   TdGraph g;
   g.num_stations_ = tt.num_stations();
   g.period_ = tt.period();
-  g.ttfs_.reset(tt.period(), idx);
+  g.ttfs_.reset(tt.period());
 
   // Node numbering: stations first, then route nodes grouped by route.
   g.station_of_.resize(tt.num_stations());

@@ -17,9 +17,10 @@
 // of the seed's 12-byte AoS records, and the head array can be walked —
 // and prefetched — without touching weights. All travel-time functions
 // live in one TtfPool (graph/ttf_pool.hpp): contiguous points plus an O(1)
-// bucket-indexed eval that replaces the per-relax binary search. The
-// `Edge` struct survives as a decoded per-edge view so non-hot callers and
-// tests keep the familiar `for (const TdGraph::Edge& e : g.out_edges(v))`.
+// bucket-indexed eval that replaces the per-relax binary search. Every
+// caller, hot or cold, walks edges through the SoA accessors:
+//   for (EdgeId e = g.edge_begin(v); e != g.edge_end(v); ++e)
+//     ... g.edge_head(e), g.arrival_by_word(g.edge_word(e), t) ...
 #pragma once
 
 #include <cstdint>
@@ -31,21 +32,9 @@
 
 namespace pconn {
 
-constexpr std::uint32_t kNoTtf = std::numeric_limits<std::uint32_t>::max();
-
 class TdGraph {
  public:
   using EdgeId = std::uint32_t;
-
-  /// Decoded view of one edge (storage is SoA; this is assembled on
-  /// access). Field semantics match the seed AoS record: ttf == kNoTtf
-  /// means a constant `weight`, otherwise `ttf` indexes the pool and
-  /// weight is 0.
-  struct Edge {
-    NodeId head;
-    std::uint32_t ttf;
-    Time weight;
-  };
 
   // --- packed ttf-or-weight word ----------------------------------------
   // The encoding is shared with TtfPool::arrival_n, whose batch kernel
@@ -58,10 +47,6 @@ class TdGraph {
   static std::uint32_t word_ttf(std::uint32_t w) { return w; }
 
   static TdGraph build(const Timetable& tt);
-  /// Build with an explicit per-network TTF-index configuration (memory /
-  /// eval-speed knob, see TtfIndexOptions). Results are bit-identical for
-  /// any configuration; only index memory and scan lengths change.
-  static TdGraph build(const Timetable& tt, const TtfIndexOptions& idx);
 
   NodeId num_nodes() const { return static_cast<NodeId>(station_of_.size()); }
   std::size_t num_edges() const { return heads_.size(); }
@@ -116,44 +101,6 @@ class TdGraph {
   void prefetch_edge_ttf(EdgeId e) const {
     const std::uint32_t w = ttf_or_weight_[e];
     if (!word_is_const(w)) ttfs_.prefetch_points(word_ttf(w));
-  }
-
-  // --- decoded compat view ----------------------------------------------
-  Edge edge(EdgeId e) const {
-    const std::uint32_t w = ttf_or_weight_[e];
-    if (word_is_const(w)) return {heads_[e], kNoTtf, word_weight(w)};
-    return {heads_[e], word_ttf(w), 0};
-  }
-
-  class EdgeIterator {
-   public:
-    EdgeIterator(const TdGraph* g, EdgeId e) : g_(g), e_(e) {}
-    Edge operator*() const { return g_->edge(e_); }
-    EdgeIterator& operator++() {
-      ++e_;
-      return *this;
-    }
-    bool operator!=(const EdgeIterator& o) const { return e_ != o.e_; }
-    bool operator==(const EdgeIterator& o) const { return e_ == o.e_; }
-
-   private:
-    const TdGraph* g_;
-    EdgeId e_;
-  };
-  struct EdgeRange {
-    EdgeIterator first, last;
-    EdgeIterator begin() const { return first; }
-    EdgeIterator end() const { return last; }
-  };
-  EdgeRange out_edges(NodeId v) const {
-    return {EdgeIterator(this, edge_begin(v)), EdgeIterator(this, edge_end(v))};
-  }
-
-  /// Absolute arrival at e.head when reaching the tail at absolute time t
-  /// (compat overload for the decoded view).
-  Time arrival_via(const Edge& e, Time t) const {
-    if (e.ttf == kNoTtf) return t + e.weight;
-    return ttfs_.arrival(e.ttf, t);
   }
 
   /// Rough memory footprint of the structure in bytes (bench reporting).

@@ -8,7 +8,7 @@
 // per-call binary search with a precomputed time-bucket index:
 //
 //   * per function, B buckets partition [0, period); B defaults to
-//     bit_ceil(|points|) and is tunable per network (TtfIndexOptions):
+//     bit_ceil(|points|) and is configurable per pool (TtfIndexOptions):
 //     `buckets_per_point` scales the bucket count and functions below
 //     `min_indexed_points` drop the index entirely — they keep a single
 //     bucket pointing at their first point, so evaluation degenerates to
@@ -26,13 +26,16 @@
 //   * arrival_n()  — many functions, one entry time. Entries may carry the
 //     kConstFlag top bit, in which case the low 31 bits are an inline
 //     constant travel time (the TdGraph packed-word encoding) evaluated
-//     without touching the pool;
-//   * arrival_tn() — one function, many entry times (the LC link step).
-// Both run an 8-lane AVX2 gather kernel when the CPU has it (runtime
-// dispatch, PCONN_NO_AVX2 escape hatch) and a scalar loop otherwise; the
-// kernels replace the per-eval hardware division of `t % period` with the
-// same reciprocal multiply the bucket mapping uses and are bit-identical
-// to the scalar path (tests/ttf_test.cpp sweeps per second).
+//     without touching the pool. A scalar loop that prefetches the next
+//     function's points: the engines gather 7-11 edges per node on average,
+//     below the width where an 8-lane gather kernel pays;
+//   * arrival_tn() — one function, many entry times (the LC link step and
+//     the cross-lane matrix down-sweep, ~37 lanes wide). It runs an 8-lane
+//     AVX2 gather kernel when the CPU has it (cpuid check at runtime) and
+//     a scalar loop otherwise; the kernel replaces the per-eval hardware
+//     division of `t % period` with the same reciprocal multiply the
+//     bucket mapping uses and is bit-identical to the scalar path
+//     (tests/ttf_test.cpp sweeps per second).
 //
 // Results are bit-identical to Ttf::eval / Ttf::point_used on the same
 // points (tests/ttf_test.cpp proves it exhaustively); the pool is the
@@ -49,12 +52,12 @@
 
 namespace pconn {
 
-/// Per-network memory/speed knob for the evaluation index (ROADMAP "TTF
-/// index memory knob"). The index costs ~1 uint32 per point at the default
-/// density; dense bus networks with huge functions may prefer a lower
-/// density, memory-tight deployments can drop the index for small
-/// functions outright (a <5-point function spans at most one cache line —
-/// the linear scan is as fast as the bucket entry it replaces).
+/// Memory/speed configuration of the evaluation index. The index costs ~1
+/// uint32 per point at the default density; a lower density trades scan
+/// length for index memory, and small functions drop the index outright
+/// (a <5-point function spans at most one cache line — the linear scan is
+/// as fast as the bucket entry it replaces). Every configuration evaluates
+/// bit-identically.
 struct TtfIndexOptions {
   /// Buckets per point before rounding to a power of two (densities < 1
   /// trade expected scan length for index memory).
@@ -62,10 +65,6 @@ struct TtfIndexOptions {
   /// Functions with fewer points keep a single bucket — no index, linear
   /// lower_bound scan from the first point. 5 is free (see above).
   std::uint32_t min_indexed_points = 5;
-
-  /// Defaults overridable via PCONN_TTF_BUCKET_DENSITY and
-  /// PCONN_TTF_MIN_INDEXED (per-network tuning without a rebuild).
-  static TtfIndexOptions from_env();
 };
 
 class TtfPool {
@@ -74,22 +73,15 @@ class TtfPool {
   /// times, not pool indices (mirrored by TdGraph's packed edge word).
   static constexpr std::uint32_t kConstFlag = 1u << 31;
 
-  explicit TtfPool(Time period = kDayseconds,
-                   TtfIndexOptions idx = TtfIndexOptions::from_env()) {
-    idx_ = idx;
-    reset(period);
-  }
-
-  /// reset() with a new per-network index configuration.
-  void reset(Time period, TtfIndexOptions idx) {
-    idx_ = idx;
+  explicit TtfPool(Time period = kDayseconds, TtfIndexOptions idx = {})
+      : idx_(idx) {
     reset(period);
   }
 
   /// Drops all functions and re-anchors the bucket mapping on `period`.
   void reset(Time period) {
     assert(period > 0);
-    // The AVX2 kernels compare times in signed 32-bit lanes; every real
+    // The AVX2 kernel compares times in signed 32-bit lanes; every real
     // timetable period (a day, a week) is far below this.
     assert(period < (Time{1} << 30));
     period_ = period;
@@ -165,26 +157,16 @@ class TtfPool {
 
   /// Batch evaluation, many functions at one entry time: absolute arrivals
   /// via entries[0..n) for entry time t. Entries are pool indices or
-  /// kConstFlag-tagged inline constants (see arrival_entry). AVX2 gather
-  /// kernel under runtime dispatch, scalar prefetching loop otherwise;
-  /// bit-identical either way.
+  /// kConstFlag-tagged inline constants (see arrival_entry). A scalar loop
+  /// that prefetches the next entry's points.
   void arrival_n(const std::uint32_t* entries, std::size_t n, Time t,
                  Time* out) const;
 
   /// Batch evaluation, one function at many entry times:
-  /// out[i] = arrival(f, ts[i]). Same dispatch as arrival_n.
+  /// out[i] = arrival(f, ts[i]). AVX2 gather kernel for n >= 8 when the CPU
+  /// has it, scalar loop otherwise; bit-identical either way.
   void arrival_tn(std::uint32_t f, const Time* ts, std::size_t n,
                   Time* out) const;
-
-  /// Batch evaluation, many (function, entry time) pairs:
-  /// out[i] = arrival_entry(entries[i], ts[i]) — every edge carries its own
-  /// entry time. No engine calls it; ttf_test and bench_batchrelax's micro
-  /// table still exercise it. The AVX2 kernel combines arrival_n's masked
-  /// metadata/point gathers with arrival_tn's per-lane reciprocal modulo
-  /// and a per-lane variable-shift bucket; bit-identical to the scalar
-  /// entry-by-entry loop (tests/ttf_test.cpp sweeps it like the others).
-  void arrival_ptn(const std::uint32_t* entries, const Time* ts, std::size_t n,
-                   Time* out) const;
 
   /// Sorted-batch evaluation, one function at ASCENDING entry times — the
   /// LC link shape (a reduced profile's arrivals are strictly increasing).
@@ -286,20 +268,12 @@ class TtfPool {
     return i < m.first + m.count ? i : m.first;
   }
 
-  void arrival_n_scalar(const std::uint32_t* entries, std::size_t n, Time t,
-                        Time* out) const;
   void arrival_tn_scalar(std::uint32_t f, const Time* ts, std::size_t n,
                          Time* out) const;
-  void arrival_ptn_scalar(const std::uint32_t* entries, const Time* ts,
-                          std::size_t n, Time* out) const;
 #if (defined(__x86_64__) || defined(_M_X64)) && \
     (defined(__GNUC__) || defined(__clang__))
-  void arrival_n_avx2(const std::uint32_t* entries, std::size_t n, Time t,
-                      Time* out) const;
   void arrival_tn_avx2(std::uint32_t f, const Time* ts, std::size_t n,
                        Time* out) const;
-  void arrival_ptn_avx2(const std::uint32_t* entries, const Time* ts,
-                        std::size_t n, Time* out) const;
 #endif
 
   Time period_ = kDayseconds;

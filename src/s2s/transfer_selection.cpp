@@ -34,8 +34,10 @@ class ContractionGraph {
     alive_.assign(n, 1);
     for (StationId s = 0; s < n; ++s) {
       transfer_[s] = tt.transfer_time(s);
-      for (const StationGraph::Edge& e : sg.out_edges(s)) {
-        add_edge(s, e.head, e.min_ride);
+      const std::uint32_t first = sg.out_begin(s);
+      const std::span<const StationId> heads = sg.out_heads(s);
+      for (std::uint32_t i = 0; i < heads.size(); ++i) {
+        add_edge(s, heads[i], sg.out_min_ride(first + i));
       }
     }
     dist_.assign(n, kInfTime);

@@ -208,8 +208,8 @@ OverlayGraph load_overlay(std::istream& in) {
   ov.num_base_ttfs_ = read_u32(in);
   ov.num_base_edges_ = read_u32(in);
   // The pool divides by the period (reciprocal precompute) and the AVX2
-  // kernels compare times in signed 32-bit lanes; reject garbage before
-  // either sees it.
+  // arrival_tn kernel compares times in signed 32-bit lanes; reject
+  // garbage before either sees it.
   if (ov.period_ == 0 || ov.period_ >= (Time{1} << 30)) {
     throw LoadError(LoadError::Kind::kCorrupt, "overlay: invalid period");
   }

@@ -12,8 +12,8 @@
 // every CSR/provenance array verbatim, and the pooled TTFs as raw
 // (already-pruned) point spans re-added through TtfPool::add_raw — the
 // loaded overlay is structurally identical to the saved one and answers
-// queries byte-for-byte the same (the eval bucket index is rebuilt from
-// the process's TtfIndexOptions, which never changes results). Loading
+// queries byte-for-byte the same (the eval bucket index is rebuilt with
+// the default TtfIndexOptions, which never change results). Loading
 // validates as it goes and throws a typed LoadError: every section's
 // element count is checked against what the already-loaded sections
 // require BEFORE its storage is allocated (a corrupted count fails with a

@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "util/arena.hpp"
-#include "util/simd.hpp"
 
 namespace pconn {
 
@@ -165,15 +164,13 @@ class BucketQueue {
   void mark_empty(std::size_t b) { occ_[b >> 6] &= ~(std::uint64_t{1} << (b & 63)); }
 
   /// First occupied bucket at or after `from`; kNumBuckets when the rest of
-  /// the window is empty. The first (masked) word is probed directly; the
-  /// remainder of the bitset is scanned four words per step with AVX2 when
-  /// the CPU supports it, scalar countr_zero otherwise (util/simd.hpp).
+  /// the window is empty. The first (masked) word is probed directly, then
+  /// the scan tests one 64-bucket word per step.
   std::size_t first_occupied_from(std::size_t from) const {
     std::size_t w = from >> 6;
     std::uint64_t word = occ_[w] & (~std::uint64_t{0} << (from & 63));
-    if (word == 0) {
-      w = first_nonzero_word(occ_.data(), w + 1, kOccWords);
-      if (w == kOccWords) return kNumBuckets;
+    while (word == 0) {
+      if (++w == kOccWords) return kNumBuckets;
       word = occ_[w];
     }
     return (w << 6) + static_cast<std::size_t>(std::countr_zero(word));

@@ -76,10 +76,10 @@ TEST(BusCity, HubsSeparateDistricts) {
     stack.pop_back();
     EXPECT_NE(tt.station_name(v).find(" d0.0 "), std::string::npos)
         << tt.station_name(v);
-    for (const StationGraph::Edge& e : sg.out_edges(v)) {
-      if (!seen[e.head] && !is_hub[e.head]) {
-        seen[e.head] = 1;
-        stack.push_back(e.head);
+    for (StationId u : sg.out_heads(v)) {
+      if (!seen[u] && !is_hub[u]) {
+        seen[u] = 1;
+        stack.push_back(u);
       }
     }
   }

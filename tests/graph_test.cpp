@@ -46,14 +46,17 @@ TEST(TdGraph, EdgeStructure) {
     const std::size_t n = route.stops.size();
     for (std::uint32_t k = 0; k < n; ++k) {
       NodeId v = g.route_node(r, k);
-      auto edges = g.out_edges(v);
       bool has_alight = false, has_travel = false;
-      for (const TdGraph::Edge& e : edges) {
-        if (e.head == g.station_node(route.stops[k]) && e.ttf == kNoTtf) {
+      for (TdGraph::EdgeId e = g.edge_begin(v); e != g.edge_end(v); ++e) {
+        const NodeId head = g.edge_head(e);
+        const std::uint32_t w = g.edge_word(e);
+        if (head == g.station_node(route.stops[k]) &&
+            TdGraph::word_is_const(w)) {
           has_alight = true;
-          EXPECT_EQ(e.weight, 0u);
+          EXPECT_EQ(TdGraph::word_weight(w), 0u);
         }
-        if (k + 1 < n && e.head == g.route_node(r, k + 1) && e.ttf != kNoTtf) {
+        if (k + 1 < n && head == g.route_node(r, k + 1) &&
+            !TdGraph::word_is_const(w)) {
           has_travel = true;
         }
       }
@@ -63,10 +66,12 @@ TEST(TdGraph, EdgeStructure) {
   }
   // Boarding edges carry the transfer time.
   for (StationId s = 0; s < tt.num_stations(); ++s) {
-    for (const TdGraph::Edge& e : g.out_edges(g.station_node(s))) {
-      EXPECT_EQ(e.ttf, kNoTtf);
-      EXPECT_EQ(e.weight, tt.transfer_time(s));
-      EXPECT_FALSE(g.is_station_node(e.head));
+    const NodeId v = g.station_node(s);
+    for (TdGraph::EdgeId e = g.edge_begin(v); e != g.edge_end(v); ++e) {
+      const std::uint32_t w = g.edge_word(e);
+      EXPECT_TRUE(TdGraph::word_is_const(w));
+      EXPECT_EQ(TdGraph::word_weight(w), tt.transfer_time(s));
+      EXPECT_FALSE(g.is_station_node(g.edge_head(e)));
     }
   }
 }
@@ -89,16 +94,15 @@ TEST(TdGraph, TravelEdgeEvaluatesTimetable) {
   // Line 1 trips depart A at 08:00..11:00 hourly, 600 s to B.
   const Connection& c = tt.outgoing(0)[0];  // earliest from A
   NodeId r = g.departure_node(tt, c);
-  // Edges are decoded views over SoA storage: copy, don't keep a pointer
-  // into the iteration.
-  TdGraph::Edge travel{kInvalidNode, kNoTtf, 0};
-  for (const TdGraph::Edge& e : g.out_edges(r)) {
-    if (e.ttf != kNoTtf) travel = e;
+  TdGraph::EdgeId travel = g.edge_end(r);
+  for (TdGraph::EdgeId e = g.edge_begin(r); e != g.edge_end(r); ++e) {
+    if (!TdGraph::word_is_const(g.edge_word(e))) travel = e;
   }
-  ASSERT_NE(travel.head, kInvalidNode);
-  EXPECT_EQ(g.arrival_via(travel, c.dep), c.arr);
+  ASSERT_NE(travel, g.edge_end(r));
+  const std::uint32_t w = g.edge_word(travel);
+  EXPECT_EQ(g.arrival_by_word(w, c.dep), c.arr);
   // Showing up one second late waits for the next trip of that route.
-  Time next = g.arrival_via(travel, c.dep + 1);
+  Time next = g.arrival_by_word(w, c.dep + 1);
   EXPECT_GT(next, c.arr);
 }
 
@@ -135,13 +139,15 @@ TEST(StationGraph, EdgesMatchConnections) {
 TEST(StationGraph, MinRideAndCounts) {
   Timetable tt = test::tiny_line();
   StationGraph sg = StationGraph::build(tt);
-  for (const StationGraph::Edge& e : sg.out_edges(0)) {
-    if (e.head == 1) {
-      EXPECT_EQ(e.min_ride, 600u);
-      EXPECT_EQ(e.num_conns, 4u);
-    } else if (e.head == 2) {
-      EXPECT_EQ(e.min_ride, 2100u);  // the direct line
-      EXPECT_EQ(e.num_conns, 4u);
+  const auto heads = sg.out_heads(0);
+  for (std::uint32_t i = 0; i < heads.size(); ++i) {
+    const std::uint32_t e = sg.out_begin(0) + i;
+    if (heads[i] == 1) {
+      EXPECT_EQ(sg.out_min_ride(e), 600u);
+      EXPECT_EQ(sg.out_num_conns(e), 4u);
+    } else if (heads[i] == 2) {
+      EXPECT_EQ(sg.out_min_ride(e), 2100u);  // the direct line
+      EXPECT_EQ(sg.out_num_conns(e), 4u);
     }
   }
 }

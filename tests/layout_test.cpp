@@ -1,7 +1,8 @@
 // Differential tests for the PR-3 memory-layout pass: the pooled-TTF /
 // SoA-edge graph must be observationally identical to the seed AoS layout.
 //
-//  * Every decoded edge view agrees with the raw SoA words, and the pooled
+//  * The CSR edge blocks tile the edge arrays, the batched block eval
+//    (arrivals_by_words) agrees with the per-edge word eval, and the pooled
 //    bucket-indexed evaluation agrees with a freshly built per-edge Ttf
 //    (the seed representation, binary-search eval) at a dense time grid.
 //  * All engines (SPCS one-to-all, TimeQuery, LC, MC) produce profiles /
@@ -9,9 +10,11 @@
 //    the cross-policy settled accounting stays byte-identical — i.e. the
 //    relax-loop restructure (settled/pruning tests before TTF evaluation,
 //    prefetch lookahead) changed no observable result.
-//  * StationGraph's decoded views and SoA spans describe the same graph.
+//  * StationGraph's SoA arrays aggregate the timetable's connections.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <vector>
 
 #include "algo/lc_profile.hpp"
@@ -26,33 +29,29 @@
 namespace pconn {
 namespace {
 
-TEST(Layout, EdgeViewsMatchSoAWords) {
+TEST(Layout, EdgeBlocksBatchEvalMatchesPerEdge) {
   Timetable tt = test::small_city(31);
   TdGraph g = TdGraph::build(tt);
-  std::size_t seen = 0;
+  TdGraph::EdgeId prev_end = 0;
+  std::vector<Time> out(g.max_out_degree());
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    std::uint32_t ei = g.edge_begin(v);
-    for (const TdGraph::Edge& e : g.out_edges(v)) {
-      ASSERT_LT(ei, g.edge_end(v));
-      EXPECT_EQ(e.head, g.edge_head(ei));
-      const std::uint32_t w = g.edge_word(ei);
-      if (TdGraph::word_is_const(w)) {
-        EXPECT_EQ(e.ttf, kNoTtf);
-        EXPECT_EQ(e.weight, TdGraph::word_weight(w));
-      } else {
-        EXPECT_EQ(e.ttf, TdGraph::word_ttf(w));
-        EXPECT_EQ(e.weight, 0u);
+    const TdGraph::EdgeId eb = g.edge_begin(v), ee = g.edge_end(v);
+    ASSERT_EQ(eb, prev_end);
+    ASSERT_LE(ee - eb, g.max_out_degree());
+    prev_end = ee;
+    for (Time t : {0u, 8u * 3600u, 86399u, 90000u}) {
+      g.arrivals_by_words(g.words_data() + eb, ee - eb, t, out.data());
+      for (TdGraph::EdgeId e = eb; e != ee; ++e) {
+        const std::uint32_t w = g.edge_word(e);
+        const Time want = TdGraph::word_is_const(w)
+                              ? t + TdGraph::word_weight(w)
+                              : g.ttfs().arrival(TdGraph::word_ttf(w), t);
+        EXPECT_EQ(g.arrival_by_word(w, t), want) << "edge " << e;
+        EXPECT_EQ(out[e - eb], want) << "edge " << e;
       }
-      // The two arrival entry points agree at a grid of entry times.
-      for (Time t : {0u, 8u * 3600u, 86399u, 90000u}) {
-        EXPECT_EQ(g.arrival_via(e, t), g.arrival_by_word(w, t));
-      }
-      ++ei;
-      ++seen;
     }
-    EXPECT_EQ(ei, g.edge_end(v));
   }
-  EXPECT_EQ(seen, g.num_edges());
+  EXPECT_EQ(prev_end, g.num_edges());
 }
 
 // Pooled eval vs the seed representation rebuilt per edge: one Ttf object
@@ -149,23 +148,29 @@ TEST(Layout, PruneOnRelaxUnchangedResults) {
   }
 }
 
-TEST(Layout, StationGraphViewsConsistent) {
+TEST(Layout, StationGraphMatchesConnections) {
   Timetable tt = test::small_railway(33);
   StationGraph sg = StationGraph::build(tt);
+  // Per ordered station pair: fastest ride and connection count.
+  std::map<std::pair<StationId, StationId>, std::pair<Time, std::uint32_t>>
+      agg;
+  for (const Connection& c : tt.connections()) {
+    auto it = agg.try_emplace({c.from, c.to}, c.duration(), 0).first;
+    it->second.first = std::min(it->second.first, c.duration());
+    ++it->second.second;
+  }
+  std::size_t edges = 0;
   for (StationId s = 0; s < sg.num_stations(); ++s) {
     auto heads = sg.out_heads(s);
-    std::size_t i = 0;
-    std::uint32_t e = sg.out_begin(s);
-    for (const StationGraph::Edge& edge : sg.out_edges(s)) {
-      ASSERT_LT(i, heads.size());
-      EXPECT_EQ(edge.head, heads[i]);
-      EXPECT_EQ(edge.min_ride, sg.out_min_ride(e));
-      EXPECT_EQ(edge.num_conns, sg.out_num_conns(e));
-      ++i;
-      ++e;
+    ASSERT_EQ(sg.out_end(s) - sg.out_begin(s), heads.size());
+    for (std::uint32_t i = 0; i < heads.size(); ++i) {
+      const std::uint32_t e = sg.out_begin(s) + i;
+      const auto it = agg.find({s, heads[i]});
+      ASSERT_NE(it, agg.end()) << s << " -> " << heads[i];
+      EXPECT_EQ(sg.out_min_ride(e), it->second.first);
+      EXPECT_EQ(sg.out_num_conns(e), it->second.second);
+      ++edges;
     }
-    EXPECT_EQ(i, heads.size());
-    EXPECT_EQ(e, sg.out_end(s));
     // Reverse views mirror forward edges.
     for (StationId u : sg.in_heads(s)) {
       bool found = false;
@@ -173,6 +178,7 @@ TEST(Layout, StationGraphViewsConsistent) {
       EXPECT_TRUE(found) << "rev edge " << u << " -> " << s;
     }
   }
+  EXPECT_EQ(edges, agg.size());
 }
 
 }  // namespace

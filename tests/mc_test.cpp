@@ -27,18 +27,21 @@ std::vector<std::vector<Time>> layered_oracle(const TdGraph& g, NodeId src,
       changed = false;
       for (NodeId v = 0; v < g.num_nodes(); ++v) {
         if (arr[b][v] == kInfTime) continue;
-        for (const TdGraph::Edge& e : g.out_edges(v)) {
-          const bool boarding = g.is_station_node(v) && e.ttf == kNoTtf;
-          Time t = (v == src && e.ttf == kNoTtf) ? arr[b][v]
-                                                 : g.arrival_via(e, arr[b][v]);
+        for (TdGraph::EdgeId e = g.edge_begin(v); e != g.edge_end(v); ++e) {
+          const NodeId head = g.edge_head(e);
+          const std::uint32_t w = g.edge_word(e);
+          const bool is_const = TdGraph::word_is_const(w);
+          const bool boarding = g.is_station_node(v) && is_const;
+          Time t = (v == src && is_const) ? arr[b][v]
+                                          : g.arrival_by_word(w, arr[b][v]);
           if (t == kInfTime) continue;
           if (boarding) {
-            if (b + 1 <= max_boards && t < arr[b + 1][e.head]) {
-              arr[b + 1][e.head] = t;
+            if (b + 1 <= max_boards && t < arr[b + 1][head]) {
+              arr[b + 1][head] = t;
               // handled when the b+1 layer runs; mark via outer loop order
             }
-          } else if (t < arr[b][e.head]) {
-            arr[b][e.head] = t;
+          } else if (t < arr[b][head]) {
+            arr[b][head] = t;
             changed = true;
           }
         }

@@ -110,11 +110,14 @@ inline std::vector<Time> brute_force_arrivals(const TdGraph& g, NodeId src,
     changed = false;
     for (NodeId v = 0; v < g.num_nodes(); ++v) {
       if (arr[v] == kInfTime) continue;
-      for (const TdGraph::Edge& e : g.out_edges(v)) {
-        Time t = (v == src && e.ttf == kNoTtf) ? arr[v]
-                                               : g.arrival_via(e, arr[v]);
-        if (t != kInfTime && t < arr[e.head]) {
-          arr[e.head] = t;
+      for (TdGraph::EdgeId e = g.edge_begin(v); e != g.edge_end(v); ++e) {
+        const NodeId head = g.edge_head(e);
+        const std::uint32_t w = g.edge_word(e);
+        Time t = (v == src && TdGraph::word_is_const(w))
+                     ? arr[v]
+                     : g.arrival_by_word(w, arr[v]);
+        if (t != kInfTime && t < arr[head]) {
+          arr[head] = t;
           changed = true;
         }
       }

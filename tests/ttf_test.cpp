@@ -184,11 +184,11 @@ TEST_P(TtfPoolRandomTest, IndexedEvalEqualsSearchAndBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, TtfPoolRandomTest,
                          ::testing::Range<std::uint64_t>(1, 13));
 
-// The vectorized batch kernels (AVX2 gather under runtime dispatch — this
-// sweep IS the AVX2-vs-scalar differential on hardware that has it, and a
-// scalar-vs-scalar identity check otherwise) must agree with the per-entry
-// scalar evaluation at every second of the period, on mixed batches that
-// include inline constant words and empty functions.
+// The batch entry points must agree with the per-entry evaluation at every
+// second of the period. arrival_n runs on mixed batches that include inline
+// constant words and empty functions. arrival_tn's sweep (the next test) IS
+// the AVX2-vs-scalar differential on hardware that has AVX2, and a
+// scalar-vs-scalar identity check otherwise.
 TEST(TtfPool, VectorArrivalNMatchesScalarPerSecond) {
   Rng rng(321);
   const Time period = 2000 + static_cast<Time>(rng.next_below(9000));
@@ -221,7 +221,7 @@ TEST(TtfPool, VectorArrivalTnMatchesScalarPerSecond) {
   const Time period = 2000 + static_cast<Time>(rng.next_below(9000));
   TtfPool pool(period);
   std::vector<std::uint32_t> fs;
-  for (std::size_t n : {1u, 3u, 9u, 40u}) {
+  for (std::size_t n : {0u, 1u, 3u, 9u, 40u}) {  // 0 = empty function
     std::vector<TtfPoint> pts;
     for (std::size_t i = 0; i < n; ++i) {
       pts.push_back({static_cast<Time>(rng.next_below(period)),
@@ -252,6 +252,21 @@ TEST(TtfPool, VectorArrivalTnMatchesScalarPerSecond) {
       ASSERT_EQ(out[i], pool.arrival(f, shuffled[i]));
     }
   }
+  // Batch sizes around the 8-lane vector boundary: a full vector block, a
+  // scalar tail, or both; entry times span several periods.
+  for (std::size_t n : {1u, 7u, 8u, 9u, 15u, 16u, 17u}) {
+    std::vector<Time> batch(n), batch_out(n);
+    for (int round = 0; round < 50; ++round) {
+      for (Time& t : batch) t = static_cast<Time>(rng.next_below(3 * period));
+      for (std::uint32_t f : fs) {
+        pool.arrival_tn(f, batch.data(), n, batch_out.data());
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(batch_out[i], pool.arrival(f, batch[i]))
+              << "f=" << f << " n=" << n << " t=" << batch[i];
+        }
+      }
+    }
+  }
   // Sorted batches with multi-period gaps (the re-anchor division path).
   std::vector<Time> sparse;
   for (Time t = 17; t < 9 * period; t += 1237) sparse.push_back(t);
@@ -261,59 +276,6 @@ TEST(TtfPool, VectorArrivalTnMatchesScalarPerSecond) {
     for (std::size_t i = 0; i < sparse.size(); ++i) {
       ASSERT_EQ(out[i], pool.arrival(f, sparse[i]));
     }
-  }
-}
-
-// The cross-query frontier kernel: per-lane function AND per-lane entry
-// time. Mixed batches (constants, empty functions, lanes spanning several
-// periods) must agree with the per-entry scalar evaluation everywhere, at
-// every batch size around the 8-lane vector boundary.
-TEST(TtfPool, VectorArrivalPtnMatchesScalarPerSecond) {
-  Rng rng(987);
-  const Time period = 2000 + static_cast<Time>(rng.next_below(9000));
-  TtfPool pool(period);
-  std::vector<std::uint32_t> funcs;
-  for (int f = 0; f < 24; ++f) {
-    std::vector<TtfPoint> pts;
-    const std::size_t n = rng.next_below(12);  // 0 = empty function
-    for (std::size_t i = 0; i < n; ++i) {
-      pts.push_back({static_cast<Time>(rng.next_below(period)),
-                     static_cast<Time>(1 + rng.next_below(3 * period))});
-    }
-    funcs.push_back(pool.add(Ttf::build(std::move(pts), period)));
-  }
-  // Sizes around the 8-lane dispatch boundary plus wide frontier shapes.
-  for (std::size_t n : {1u, 5u, 7u, 8u, 9u, 16u, 33u, 128u}) {
-    std::vector<std::uint32_t> entries(n);
-    std::vector<Time> ts(n), out(n);
-    for (int round = 0; round < 50; ++round) {
-      for (std::size_t i = 0; i < n; ++i) {
-        entries[i] = (rng.next_below(3) == 0)
-                         ? TtfPool::kConstFlag |
-                               static_cast<std::uint32_t>(rng.next_below(7200))
-                         : funcs[rng.next_below(funcs.size())];
-        ts[i] = static_cast<Time>(rng.next_below(3 * period));
-      }
-      pool.arrival_ptn(entries.data(), ts.data(), n, out.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(out[i], pool.arrival_entry(entries[i], ts[i]))
-            << "entry " << i << " n=" << n << " t=" << ts[i];
-      }
-    }
-  }
-  // Dense sweep: one lane per second of two periods, lane i's function
-  // cycling through the pool — every (function, residue) pair crosses the
-  // per-lane modulo and variable-shift bucket lookup.
-  std::vector<std::uint32_t> entries;
-  std::vector<Time> ts;
-  for (Time t = 0; t < 2 * period; ++t) {
-    entries.push_back(funcs[static_cast<std::size_t>(t) % funcs.size()]);
-    ts.push_back(t);
-  }
-  std::vector<Time> out(ts.size());
-  pool.arrival_ptn(entries.data(), ts.data(), ts.size(), out.data());
-  for (std::size_t i = 0; i < ts.size(); ++i) {
-    ASSERT_EQ(out[i], pool.arrival_entry(entries[i], ts[i])) << "t=" << ts[i];
   }
 }
 
